@@ -86,9 +86,10 @@ bench-profile:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_profile.py \
 		--out BENCH_profile.json
 
-# Raw CDCL throughput (props/s) of every available engine — legacy,
-# interpreted kernel, compiled kernel when built — on the running
-# example and Nordlandsbanen; writes BENCH_core.json.
+# Raw CDCL throughput (props/s) of the loaded kernel build — plus the
+# interpreted source and the compiled speedup over it, when the compiled
+# kernel is built — on the running example and Nordlandsbanen; writes
+# BENCH_core.json.
 bench-core:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_core.py \
 		--out BENCH_core.json

@@ -1,17 +1,14 @@
-"""CDCL core throughput: legacy object-graph loop vs the array kernel.
+"""CDCL core throughput of the SAT kernel build.
 
 Times the raw solver — clause loading plus one search — on the eager
-verification CNFs of the running example and Nordlandsbanen, once per
-available engine (``legacy``, ``interpreted``, and ``compiled`` when the
-optional extension is built), and records propagations per second of
-search under stable ``bench.core.*`` keys.
-
-Because the kernel is trace-lockstep with the legacy engine (same
-decisions, same conflicts, same learned clauses under a fixed seed),
-the propagation *count* is identical across engines and the props/s
-ratio is a pure interpreter-overhead measurement; the benchmark asserts
-that lockstep (verdict + search counters) on every instance, so it
-doubles as an end-to-end differential check.
+verification CNFs of the running example and Nordlandsbanen, and records
+propagations per second of search under stable
+``bench.core.<case>.<build>.*`` keys.  ``<build>`` is the kernel build
+a plain import loads: ``interpreted``, or ``compiled`` when the optional
+mypyc extension is built.  On a compiled host the interpreted source is
+timed as well, and ``bench.core.<case>.compiled.speedup`` records the
+compiled build's props/s over it.  Both builds run the same source, so
+they search the same tree and the ratio measures interpreter overhead.
 
 Run via ``make bench-core`` (writes ``BENCH_core.json``) or directly::
 
@@ -26,9 +23,8 @@ import time
 
 from repro.casestudies.base import all_case_studies
 from repro.obs.metrics import MetricsRegistry
-from repro.sat.kernel import kernel_build
+from repro.sat.kernel import kernel_build, load_interpreted
 from repro.sat.solver import Solver
-from repro.sat.types import SolverConfig
 from repro.tasks.common import build_encoding
 
 #: Case studies the acceptance gate names; the remaining two are close
@@ -42,20 +38,20 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "-")
 
 
-def available_engines() -> list[str]:
-    """Engines this host can run: legacy, interpreted, compiled-if-built."""
-    engines = ["legacy", "interpreted"]
+def available_engines() -> dict:
+    """Solver factories to time, keyed by kernel build: ``Solver`` under
+    the loaded build, plus the interpreted source on a compiled host."""
+    engines = {kernel_build(): Solver}
     if kernel_build() == "compiled":
-        engines.append("compiled")
+        engines["interpreted"] = load_interpreted().Kernel
     return engines
 
 
-def run_engine(kind: str, num_vars: int, clauses: list[list[int]]) -> dict:
-    """Best-of-``REPEAT`` load/solve timings for one engine."""
+def run_engine(factory, num_vars: int, clauses: list[list[int]]) -> dict:
+    """Best-of-``REPEAT`` load/solve timings for one solver factory."""
     best_load = best_solve = None
-    fingerprint = None
     for __ in range(REPEAT):
-        solver = Solver(SolverConfig(kernel=kind))
+        solver = factory()
         start = time.perf_counter()
         solver.ensure_var(max(num_vars, 1))
         for clause in clauses:
@@ -68,19 +64,13 @@ def run_engine(kind: str, num_vars: int, clauses: list[list[int]]) -> dict:
         best_solve = (
             solve_s if best_solve is None else min(best_solve, solve_s)
         )
-        stats = solver.stats
-        fingerprint = (
-            verdict,
-            stats.propagations,
-            stats.conflicts,
-            stats.decisions,
-            stats.restarts,
-        )
+        propagations = solver.stats.propagations
     return {
         "load_s": best_load,
         "solve_s": best_solve,
-        "fingerprint": fingerprint,
-        "props_per_s": fingerprint[1] / best_solve if best_solve else 0.0,
+        "verdict": verdict,
+        "propagations": propagations,
+        "props_per_s": propagations / best_solve if best_solve else 0.0,
     }
 
 
@@ -94,31 +84,27 @@ def bench_instance(reg: MetricsRegistry, study, engines) -> None:
     reg.set(f"{prefix}vars", num_vars)
     reg.set(f"{prefix}clauses", len(clauses))
 
-    results = {}
-    # Interleave the engines per repeat? The engines run back to back,
-    # best-of-3 each; load drift over a <10 s window is below the gate's
-    # noise threshold.
-    for kind in engines:
-        results[kind] = run_engine(kind, num_vars, clauses)
-
-    reference = results["legacy"]["fingerprint"]
+    # The builds run back to back, best-of-3 each; load drift over a
+    # <10 s window is below the gate's noise threshold.
+    results = {
+        kind: run_engine(factory, num_vars, clauses)
+        for kind, factory in engines.items()
+    }
     for kind, result in results.items():
-        # Lockstep: every engine must search the exact same tree.
-        assert result["fingerprint"] == reference, (
-            study.name, kind, result["fingerprint"], reference
-        )
         reg.set(f"{prefix}{kind}.load_s", round(result["load_s"], 4))
         reg.set(f"{prefix}{kind}.solve_s", round(result["solve_s"], 4))
         reg.set(f"{prefix}{kind}.props_per_s",
                 round(result["props_per_s"], 1))
-        if kind != "legacy":
-            speedup = (
-                result["props_per_s"] / results["legacy"]["props_per_s"]
-            )
-            reg.set(f"{prefix}{kind}.speedup", round(speedup, 3))
-    verdict, props = reference[0], reference[1]
+    if "compiled" in results and "interpreted" in results:
+        speedup = (
+            results["compiled"]["props_per_s"]
+            / results["interpreted"]["props_per_s"]
+        )
+        reg.set(f"{prefix}compiled.speedup", round(speedup, 3))
+    loaded = results[kernel_build()]
     print(f"{study.name}: {num_vars} vars, {len(clauses)} clauses, "
-          f"{verdict.value}, {props} propagations")
+          f"{loaded['verdict'].value}, {loaded['propagations']} "
+          f"propagations")
     for kind, result in results.items():
         print(f"  {kind:12s} load {result['load_s']:.3f}s  "
               f"solve {result['solve_s']:.3f}s  "

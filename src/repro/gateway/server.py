@@ -13,8 +13,8 @@ solve itself.  Request lifecycle::
         │                                     warm hint before use
         │ worker crashed?           ──► in-process one-shot fallback
         ▼
-    response cached under its exact key, served, and indexed for
-    future warm-starts under its family key
+    complete response cached under its exact key, served, and indexed
+    for future warm-starts under its family key
 
 Admission control: requests beyond ``max_inflight + max_queue`` are
 rejected as overloaded rather than queued without bound, and every
@@ -47,6 +47,7 @@ from repro.gateway.pool import (
 from repro.gateway.requests import TASKS, RequestError, execute
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
+from repro.opt.result import STATUS_OPTIMAL
 from repro.opt.minimize import _DescentBudget
 
 
@@ -294,9 +295,16 @@ class Gateway:
             self._pending -= 1
         response.setdefault("cached", False)
         response.setdefault("fallback", False)
-        if response.get("ok") and use_cache:
-            if response.get("warm_started"):
-                self.registry.inc("gateway.warm_starts")
+        if response.get("ok") and response.get("warm_started"):
+            self.registry.inc("gateway.warm_starts")
+        # Only complete answers are served again: a deadline-cut descent
+        # must not reach a request with more budget.  Verification
+        # (status None) is never cut short: a late one is killed and
+        # fails.
+        if (
+            response.get("ok") and use_cache
+            and response.get("status") in (None, STATUS_OPTIMAL)
+        ):
             self.cache.put(ekey, fkey, CacheEntry(
                 response=dict(response),
                 model=list(response.get("model") or []),

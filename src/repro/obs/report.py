@@ -177,8 +177,8 @@ class RunReport:
                 if key.startswith("solver.kernel.")
             }
             if kernels:
-                # Which CDCL engine(s) answered (the dual-build kernel
-                # selection, see repro.sat.kernel), counted per solve.
+                # Which kernel build(s) answered (see repro.sat.kernel),
+                # counted per solve.
                 lines.append(
                     "SAT engine: " + ", ".join(
                         f"{kind} ({int(count)} solve call(s))"

@@ -306,10 +306,16 @@ def _validated_warm_state(
     if not clauses_satisfied(cnf.clauses, true_vars):
         trace.event("descent.warm_rejected", reason="clause check failed")
         return None
-    cost = _cost_counter(objective_lits)(warm_model)
+    # Cached models list true literals only; price the full assignment,
+    # or negative objective literals (makespan's ``¬done``) cost nothing.
+    model = [
+        var if var in true_vars else -var
+        for var in range(1, cnf.num_vars + 1)
+    ]
+    cost = _cost_counter(objective_lits)(model)
     trace.event("descent.warm_start", cost=cost)
     obs_events.emit("descent.warm_start", cost=cost)
-    return CheckpointState.warm(cost, warm_model, warm_fingerprint)
+    return CheckpointState.warm(cost, model, warm_fingerprint)
 
 
 def _minimize_sum_serial(

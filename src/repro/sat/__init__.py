@@ -14,14 +14,14 @@ Public entry points:
   resident-incremental parallel portfolios over diversified configs.
 * :func:`parse_dimacs` / :func:`write_dimacs` — DIMACS CNF interchange.
 
-The solver itself is a facade over two trace-identical engines — the
-object-graph legacy loop and the flat-array kernel (optionally compiled
-with mypyc); :func:`kernel_build` / :func:`resolve_kind` report and
-control the selection (see :mod:`repro.sat.kernel`).
+The solver runs on one engine, the flat-array kernel, which also logs
+DRAT proofs.  It is either interpreted or compiled with mypyc;
+:func:`kernel_build` reports which build is loaded (see
+:mod:`repro.sat.kernel`).
 """
 
 from repro.sat.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs
-from repro.sat.kernel import kernel_build, resolve_kind
+from repro.sat.kernel import kernel_build
 from repro.sat.portfolio import (
     PortfolioDisagreementError,
     PortfolioError,
@@ -69,5 +69,4 @@ __all__ = [
     "parse_dimacs_file",
     "write_dimacs",
     "kernel_build",
-    "resolve_kind",
 ]

@@ -1,6 +1,6 @@
-"""Flat-array CDCL kernel: the typed hot path of :class:`repro.sat.Solver`.
+"""Flat-array CDCL kernel: the engine behind :class:`repro.sat.Solver`.
 
-This module reimplements the solver's search engine over plain integer
+This module is the solver's search engine, written over plain integer
 arrays instead of an object graph:
 
 * **Clause arena** — the whole clause database lives in one flat integer
@@ -21,19 +21,18 @@ arrays instead of an object graph:
   polarities, so the hot loops pay one add + one index per literal read
   instead of the classic ``assigns[l] if l > 0 else -assigns[-l]``
   two-branch dance.
-* **VSIDS heap** — the order heap keeps the legacy engine's
-  ``heapq``-over-``(-activity, var)`` tuples: the C-accelerated stdlib
-  heap beats any pure-Python rearrangement by an order of magnitude,
-  and identical keys guarantee identical pop order.
+* **VSIDS heap** — the order heap is a ``heapq`` of ``(-activity,
+  var)`` tuples: the C-accelerated stdlib heap beats any pure-Python
+  rearrangement by an order of magnitude.
 
-The algorithms (two-watched-literal propagation, first-UIP analysis
+The algorithms are two-watched-literal propagation, first-UIP analysis
 with recursive minimization, EVSIDS, phase saving, Luby restarts,
-LBD-guided deletion, incremental assumptions with core extraction) are
-kept *operation-for-operation identical* to the legacy engine in
-:mod:`repro.sat.solver`, including the blocker and tombstone semantics
-which the legacy engine shares.  Identical seeds therefore produce
-byte-identical trails, verdicts, and counters on either engine — the
-property suite in ``tests/test_sat_kernel.py`` certifies this.
+LBD-guided deletion, and incremental assumptions with core extraction.
+With a :class:`repro.sat.proof.ProofLogger` attached, the kernel logs
+every learned clause, every learned-clause deletion and the final empty
+clause as a DRAT proof.  ``tests/test_sat_kernel.py`` checks answers
+against independent references: models clause by clause, UNSAT answers
+through :func:`repro.sat.proof.check_rup_proof`.
 
 The module is written in the restricted subset of Python that mypyc
 (and Cython in pure-Python mode) compiles: module-level functions and
@@ -74,9 +73,9 @@ KERNEL_KIND: str = (
 class Kernel:
     """Array-backed CDCL engine with the :class:`~repro.sat.Solver` API.
 
-    Instances are normally created *by* ``Solver`` (which delegates its
-    whole public surface here unless the legacy engine was forced); the
-    class is usable standalone in tests and benchmarks.
+    Instances are normally created *by* ``Solver``, which delegates its
+    whole public surface here; the class is usable standalone in tests
+    and benchmarks.
     """
 
     def __init__(self, config: SolverConfig | None = None):
@@ -123,7 +122,7 @@ class Kernel:
         self._qhead: int = 0
 
         # Activity bookkeeping; the order heap holds (-activity, var)
-        # tuples exactly like the legacy engine.
+        # tuples.
         self._var_inc: float = 1.0
         self._cla_inc: float = 1.0
         self._order_heap: list[tuple[float, int]] = []
@@ -134,6 +133,7 @@ class Kernel:
         self._conflict_core: list[int] = []
         self._n_assumptions: int = 0
         self._to_clear: list[int] = []
+        self._proof: Any = None  # optional ProofLogger (repro.sat.proof)
 
     # ------------------------------------------------------------------
     # Public interface (mirrors repro.sat.Solver)
@@ -150,6 +150,15 @@ class Kernel:
     @property
     def num_learned(self) -> int:
         return len(self._learned_refs)
+
+    def attach_proof(self, logger: Any) -> None:
+        """Log learned clauses, deletions and the final empty clause."""
+        if self.stats.solve_calls:
+            raise RuntimeError(
+                "attach_proof after solve: the log would miss the "
+                "clauses learned so far"
+            )
+        self._proof = logger
 
     def new_var(self) -> int:
         var = self._nv + 1
@@ -215,21 +224,19 @@ class Kernel:
 
         if not simplified:
             self._ok = False
+            if self._proof is not None:
+                self._proof.add([])
             return False
         if len(simplified) == 1:
             self._enqueue(simplified[0], -1)
             self._ok = self._propagate() < 0
+            if not self._ok and self._proof is not None:
+                self._proof.add([])
             return self._ok
         ref = self._store(simplified, False, 0)
         self._clause_refs.append(ref)
         self._attach(ref)
         return True
-
-    def add_clauses(self, clauses: Any) -> bool:
-        ok = True
-        for lits in clauses:
-            ok = self.add_clause(lits) and ok
-        return ok
 
     def solve(self, assumptions: Any = ()) -> SolveResult:
         start = time.perf_counter()
@@ -285,22 +292,6 @@ class Kernel:
             self._trail_lim[0] if self._trail_lim else len(self._trail)
         )
         return list(self._trail[:boundary])
-
-    def problem_clauses(self) -> list[list[int]]:
-        """The live problem clauses, in arena (current watch) order.
-
-        Together with :meth:`root_literals` (added back as units) this
-        is logically equivalent to everything ever passed to
-        :meth:`add_clause` — used by ``Solver.attach_proof`` to replay
-        the formula into the legacy engine.
-        """
-        arena = self._arena
-        out: list[list[int]] = []
-        for ref in self._clause_refs:
-            size = arena[ref]
-            if size > 0:
-                out.append(arena[ref + _HEADER:ref + _HEADER + size])
-        return out
 
     def on_progress(self, callback: Any, interval_conflicts: int = 2000
                     ) -> None:
@@ -629,7 +620,11 @@ class Kernel:
             self._cla_inc *= _RESCALE_FACTOR
 
     def _analyze(self, conflict: int) -> tuple[list[int], int, int]:
-        """First-UIP conflict analysis (mirrors the legacy engine)."""
+        """First-UIP conflict analysis.
+
+        Returns ``(learned_lits, backtrack_level, lbd)`` where
+        ``learned_lits[0]`` is the asserting literal.
+        """
         arena = self._arena
         seen = self._seen
         level = self._level
@@ -757,7 +752,11 @@ class Kernel:
         self._to_clear.extend(marked_here)
         return True
 
-    def _analyze_final(self, failed_lit: int) -> list[int]:
+    # A reason-less literal above level 0 is either an assumption or a
+    # unit learned while assumptions were assigned.  Such a unit follows
+    # from the formula alone, so the two core builders below leave it out.
+    def _analyze_final(self, failed_lit: int, assumed: set[int]
+                       ) -> list[int]:
         core = [failed_lit]
         if not self._trail_lim:
             return core
@@ -775,7 +774,7 @@ class Kernel:
                 continue
             reason = self._reason[var]
             if reason < 0:
-                if lit != failed_lit:
+                if lit != failed_lit and lit in assumed:
                     core.append(lit)
             else:
                 base = reason + _HEADER
@@ -788,7 +787,8 @@ class Kernel:
         seen[var0] = 0
         return core
 
-    def _core_from_conflict(self, conflict: int) -> list[int]:
+    def _core_from_conflict(self, conflict: int, assumed: set[int]
+                            ) -> list[int]:
         arena = self._arena
         seen = self._seen
         level = self._level
@@ -810,7 +810,8 @@ class Kernel:
                 continue
             reason = self._reason[var]
             if reason < 0:
-                core.append(lit)
+                if lit in assumed:
+                    core.append(lit)
             else:
                 rbase = reason + _HEADER
                 for k in range(rbase + 1, rbase + arena[reason]):
@@ -884,12 +885,17 @@ class Kernel:
             ):
                 kept.append(ref)
             else:
-                arena[ref] = -arena[ref]  # tombstone, reaped lazily
+                size = arena[ref]
+                arena[ref] = -size  # tombstone, reaped lazily
                 self.stats.deleted_clauses += 1
+                if self._proof is not None:
+                    self._proof.delete(
+                        arena[ref + _HEADER:ref + _HEADER + size]
+                    )
         self._learned_refs = kept
 
     # ------------------------------------------------------------------
-    # Internal: main search loop (mirrors the legacy engine)
+    # Internal: main search loop
     # ------------------------------------------------------------------
 
     def _search(self, assumptions: list[int]) -> SolveResult:
@@ -948,9 +954,19 @@ class Kernel:
                             return SolveResult.UNKNOWN
                 if not self._trail_lim:
                     self._ok = False
+                    if self._proof is not None:
+                        self._proof.add([])
                     return SolveResult.UNSAT
                 if len(self._trail_lim) <= self._n_assumptions_assigned():
-                    self._conflict_core = self._core_from_conflict(conflict)
+                    core = self._core_from_conflict(
+                        conflict, set(assumptions)
+                    )
+                    self._conflict_core = core
+                    if not core:
+                        # Learned units alone refute the formula.
+                        self._ok = False
+                        if self._proof is not None:
+                            self._proof.add([])
                     return SolveResult.UNSAT
                 if prof is None:
                     learned, backtrack_level, lbd = self._analyze(conflict)
@@ -958,6 +974,8 @@ class Kernel:
                     learned, backtrack_level, lbd = prof.run(
                         "analyze", self._analyze, conflict
                     )
+                if self._proof is not None:
+                    self._proof.add(learned)
                 backtrack_level_min = self._n_assumptions_assigned()
                 if backtrack_level < backtrack_level_min:
                     backtrack_level = backtrack_level_min
@@ -1027,7 +1045,9 @@ class Kernel:
                 lit = assumptions[level]
                 value = assigns[off + lit]
                 if value == -1:
-                    self._conflict_core = self._analyze_final(lit)
+                    self._conflict_core = self._analyze_final(
+                        lit, set(assumptions)
+                    )
                     return SolveResult.UNSAT
                 self._trail_lim.append(len(self._trail))
                 if value == 0:

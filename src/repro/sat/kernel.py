@@ -1,31 +1,18 @@
-"""Kernel selection for the SAT solver's dual-build hot path.
+"""Which build of the SAT kernel this process runs.
 
-The array-based CDCL engine lives in :mod:`repro.sat._kernel`, written
-in a restricted, fully-annotated subset of Python so the same source
-compiles with mypyc (or Cython in pure-Python mode) into a C extension.
-When the extension has been built (``REPRO_BUILD_KERNEL=1 pip install
--e .``), the ``.so`` shadows ``_kernel.py`` on import and every solver
-silently runs compiled; otherwise the interpreted module loads and
-behaviour is identical, just slower.
+The CDCL engine lives in :mod:`repro.sat._kernel`, written in a
+restricted, fully-annotated subset of Python so the same source compiles
+with mypyc (or Cython in pure-Python mode) into a C extension.  When the
+extension has been built (``REPRO_BUILD_KERNEL=1 pip install -e .``),
+the ``.so`` shadows ``_kernel.py`` on import and every
+:class:`repro.sat.Solver` runs compiled; otherwise the interpreted
+module loads and the search is identical, just slower.
 
-This module is the single place that decides which engine a
-:class:`repro.sat.Solver` uses:
-
-* ``resolve_kind(configured)`` maps a :attr:`SolverConfig.kernel` value
-  (``"auto"``, ``"interpreted"``, ``"compiled"``, ``"legacy"``) to the
-  concrete engine kind, honouring the ``REPRO_KERNEL`` environment
-  variable override (useful to force the fallback path for a whole
-  test run, as CI does).
-* ``load_kernel(kind)`` returns the module providing ``Kernel`` for a
-  concrete kind.  Forcing ``"interpreted"`` while a compiled build is
-  installed loads ``_kernel.py`` from source explicitly, so the
-  fallback path stays testable on machines that have the extension.
 * ``kernel_build()`` reports which build a plain import gets — surfaced
   by ``repro report`` and recorded in benchmark metadata.
-
-Forcing ``"compiled"`` when no extension is built raises, so a CI leg
-that expects the compiled kernel fails loudly instead of silently
-benchmarking the interpreted one.
+* ``load_interpreted()`` returns the interpreted source module even when
+  the compiled build shadows it, so benchmarks can time one against the
+  other and tests can compare their traces.
 """
 
 from __future__ import annotations
@@ -34,17 +21,11 @@ import importlib
 import importlib.util
 import os
 
-#: Accepted values of ``SolverConfig.kernel`` / ``REPRO_KERNEL``.
-VALID_KINDS = ("auto", "interpreted", "compiled", "legacy")
-
-#: Environment override consulted by :func:`resolve_kind`.
-ENV_VAR = "REPRO_KERNEL"
-
 _interpreted_module = None
 
 
 def kernel_build() -> str:
-    """The engine kind a plain ``import repro.sat._kernel`` provides.
+    """The kernel build a plain ``import repro.sat._kernel`` provides.
 
     ``"compiled"`` when the optional extension is installed (the ``.so``
     shadows the source file), else ``"interpreted"``.
@@ -53,48 +34,13 @@ def kernel_build() -> str:
     return module.KERNEL_KIND
 
 
-def resolve_kind(configured: str = "auto") -> str:
-    """Map a config/env kernel request to a concrete engine kind.
-
-    Returns ``"legacy"``, ``"interpreted"``, or ``"compiled"``.  The
-    ``REPRO_KERNEL`` environment variable, when set and non-empty,
-    overrides ``configured`` — it is the process-wide switch CI and
-    debugging sessions use without threading config through every
-    layer.
-    """
-    kind = os.environ.get(ENV_VAR, "").strip().lower() or configured
-    if kind not in VALID_KINDS:
-        raise ValueError(
-            f"unknown kernel kind {kind!r}; expected one of {VALID_KINDS}"
-        )
-    if kind == "auto":
-        return kernel_build()
-    return kind
-
-
-def load_kernel(kind: str):
-    """Return the module providing ``Kernel`` for a concrete kind.
-
-    ``kind`` must be ``"interpreted"`` or ``"compiled"`` (``"legacy"``
-    has no kernel module — the caller keeps the object-graph engine).
-    """
-    if kind == "compiled":
-        module = importlib.import_module("repro.sat._kernel")
-        if module.KERNEL_KIND != "compiled":
-            raise RuntimeError(
-                "kernel 'compiled' was forced but no compiled build is "
-                "installed; build it with REPRO_BUILD_KERNEL=1 pip "
-                "install -e . or use kernel='auto'"
-            )
-        return module
-    if kind != "interpreted":
-        raise ValueError(f"no kernel module for kind {kind!r}")
+def load_interpreted():
+    """The kernel module run from its Python source, on any host."""
+    global _interpreted_module
     module = importlib.import_module("repro.sat._kernel")
     if module.KERNEL_KIND == "interpreted":
         return module
-    # A compiled build shadows _kernel.py; load the source explicitly
-    # so the interpreted path stays forceable (and testable) anywhere.
-    global _interpreted_module
+    # A compiled build shadows _kernel.py; load the source file itself.
     if _interpreted_module is None:
         path = os.path.join(os.path.dirname(__file__), "_kernel.py")
         spec = importlib.util.spec_from_file_location(

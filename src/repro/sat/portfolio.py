@@ -147,8 +147,7 @@ class WorkerReport:
     solve_time_s: float = 0.0
     stats: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)  # the member's SolverConfig
-    #: The engine that answered: "legacy" / "interpreted" / "compiled".
-    #: Cross-kernel disagreements are diagnosable from the report alone.
+    #: The kernel build that answered: "interpreted" / "compiled".
     kernel: str = ""
 
 

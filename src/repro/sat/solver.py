@@ -1,6 +1,6 @@
 """A CDCL (conflict-driven clause learning) SAT solver.
 
-This is a from-scratch, pure-Python implementation of the modern SAT solver
+This is a from-scratch implementation of the modern SAT solver
 architecture (MiniSat lineage):
 
 * two-watched-literal unit propagation,
@@ -9,47 +9,24 @@ architecture (MiniSat lineage):
 * phase saving,
 * Luby-scheduled restarts,
 * LBD/activity-guided learned-clause deletion,
-* incremental solving under assumptions with unsat-core extraction.
+* incremental solving under assumptions with unsat-core extraction,
+* DRAT proof logging (:meth:`Solver.attach_proof`).
 
 The solver is the satisfiability oracle substituting for Z3 in the paper's
-methodology (see DESIGN.md §2).  It is deliberately self-contained: the only
-imports are the sibling modules of this package plus the dependency-free
-hot-path profiler (:mod:`repro.obs.profile`, enabled via
-``SolverConfig.profile``).
+methodology (see DESIGN.md §2).
 
-Since the array-kernel PR this class is also a *facade*: unless
-``SolverConfig.kernel`` (or the ``REPRO_KERNEL`` environment variable)
-selects ``"legacy"``, the public methods delegate to the flat-array
-engine in :mod:`repro.sat._kernel`, which runs the same algorithms over
-an integer clause arena several times faster — and, when the optional
-compiled extension is built, faster still.  The object-graph engine in
-this file remains the readable reference implementation and the only
-one that supports proof logging (:meth:`Solver.attach_proof` falls back
-to it automatically).  Both engines implement the *identical* search —
-same watcher scheme (blocker pairs, lazy tombstones), same heap order,
-same RNG stream — so fixed seeds give byte-identical trails, verdicts,
-and counters on either; ``tests/test_sat_kernel.py`` certifies this.
+:class:`Solver` is the public face of the flat-array engine in
+:mod:`repro.sat._kernel`, which does all the work.  The only engine choice
+left is the build: the interpreted source, or the mypyc extension when it
+has been compiled (:func:`repro.sat.kernel.kernel_build` reports which).
+The class stays a plain Python class so that callers can subclass it and
+instrumentation can wrap its methods.
 """
 
 from __future__ import annotations
 
-import heapq
-import random
-import time
-
-from repro.obs.profile import PhaseProfiler
-from repro.sat.clause import Clause
-from repro.sat.kernel import load_kernel, resolve_kind
-from repro.sat.luby import LubyGenerator
-from repro.sat.types import (
-    InvalidLiteralError,
-    SolveResult,
-    SolverConfig,
-    SolverStats,
-)
-
-_RESCALE_LIMIT = 1e100
-_RESCALE_FACTOR = 1e-100
+from repro.sat._kernel import Kernel
+from repro.sat.types import SolveResult, SolverConfig, SolverStats
 
 
 class Solver:
@@ -70,186 +47,67 @@ class Solver:
 
     def __init__(self, config: SolverConfig | None = None):
         self.config = config or SolverConfig()
-        kind = resolve_kind(self.config.kernel)
-        #: The array-kernel engine backing this solver, or None when the
-        #: legacy object-graph engine (this class's own methods) is in
-        #: charge.  All public methods check this first and delegate.
-        self._k = (
-            load_kernel(kind).Kernel(self.config)
-            if kind != "legacy"
-            else None
-        )
-        self._stats = SolverStats(kernel="legacy")
-        self._last_stats = SolverStats(kernel="legacy")
-        self._rng = random.Random(self.config.random_seed)
-        self._progress_cb = None  # optional periodic progress hook
-        self._progress_interval = 0
-        self._event_cb = None  # optional structured-event hook
-        #: Hot-path phase profiler (None unless ``config.profile``); its
-        #: counters are published as ``stats.profile`` after each solve.
-        self._profiler = (
-            PhaseProfiler(self.config.profile_sample_period)
-            if self.config.profile
-            else None
-        )
-
-        # Variable state, indexed by variable number (index 0 unused).
-        self._assigns: list[int] = [0]  # 1 = true, -1 = false, 0 = unassigned
-        self._level: list[int] = [0]
-        self._reason: list[Clause | None] = [None]
-        self._activity: list[float] = [0.0]
-        self._saved_phase: list[bool] = [self.config.default_phase]
-        self._seen: bytearray = bytearray(1)
-
-        # Watch lists, indexed by literal index (2v for v, 2v+1 for -v).
-        # Each list is flat pairs ``[clause, blocker, clause, blocker,
-        # ...]``: the blocker is a literal of the clause checked before
-        # the clause object is touched at all (MiniSat's blocker trick).
-        self._watches: list[list] = [[], []]
-
-        # Clause database.
-        self._clauses: list[Clause] = []
-        self._learned: list[Clause] = []
-
-        # Assignment trail.
-        self._trail: list[int] = []
-        self._trail_lim: list[int] = []
-        self._qhead = 0
-
-        # Activity bookkeeping.
-        self._var_inc = 1.0
-        self._cla_inc = 1.0
-        self._order_heap: list[tuple[float, int]] = []
-
-        self._ok = True  # False once an unconditional contradiction is found
-        self._solve_started = 0.0  # perf_counter at the last solve() entry
-        self._model: list[int] | None = None
-        self._conflict_core: list[int] = []
-        self._n_assumptions = 0
-        self._to_clear: list[int] = []  # seen-marks to reset after analysis
-        self._proof = None  # optional ProofLogger (repro.sat.proof)
+        self._k = Kernel(self.config)
 
     # ------------------------------------------------------------------
-    # Public interface
+    # State
     # ------------------------------------------------------------------
 
     @property
     def kernel(self) -> str:
-        """The engine answering this solver's queries: ``"legacy"``,
-        ``"interpreted"``, or ``"compiled"``."""
-        return self._k.kind if self._k is not None else "legacy"
+        """The kernel build answering this solver's queries:
+        ``"interpreted"`` or ``"compiled"``."""
+        return self._k.kind
 
     @property
     def stats(self) -> SolverStats:
         """Lifetime counters (accumulate across :meth:`solve` calls)."""
-        return self._k.stats if self._k is not None else self._stats
-
-    @stats.setter
-    def stats(self, value: SolverStats) -> None:
-        if self._k is not None:
-            self._k.stats = value
-        else:
-            self._stats = value
+        return self._k.stats
 
     @property
     def last_stats(self) -> SolverStats:
         """Counters of the most recent :meth:`solve` call only."""
-        return self._k.last_stats if self._k is not None else self._last_stats
-
-    @last_stats.setter
-    def last_stats(self, value: SolverStats) -> None:
-        if self._k is not None:
-            self._k.last_stats = value
-        else:
-            self._last_stats = value
+        return self._k.last_stats
 
     @property
     def num_vars(self) -> int:
         """Number of variables known to the solver."""
-        if self._k is not None:
-            return self._k.num_vars
-        return len(self._assigns) - 1
+        return self._k.num_vars
 
     @property
     def num_clauses(self) -> int:
         """Number of problem (non-learned) clauses currently stored."""
-        if self._k is not None:
-            return self._k.num_clauses
-        return len(self._clauses)
+        return self._k.num_clauses
 
     @property
     def num_learned(self) -> int:
         """Number of learned clauses currently stored."""
-        if self._k is not None:
-            return self._k.num_learned
-        return len(self._learned)
+        return self._k.num_learned
+
+    # ------------------------------------------------------------------
+    # Formula
+    # ------------------------------------------------------------------
 
     def attach_proof(self, logger) -> None:
         """Attach a :class:`repro.sat.proof.ProofLogger`.
 
         From now on every learned clause (and learned-clause deletion) is
         recorded; an unconditional UNSAT answer ends the log with the empty
-        clause, yielding a complete DRAT refutation checkable with
-        :func:`repro.sat.proof.check_rup_proof`.  Attach before adding
-        clauses for a clean proof.
-
-        Proof logging is a legacy-engine feature: when an array kernel
-        is active, this method retires it and replays its surviving
-        formula — problem clauses plus level-0 facts, logically
-        equivalent to everything added so far — into the legacy engine,
-        which handles the solve from here on.  Kernel-learned clauses
-        are dropped (they would be unlogged proof steps); the replayed
-        facts are logged as proof additions, so attaching before the
-        first solve still yields a complete checkable refutation.
+        clause, yielding a complete DRAT refutation of the clauses added
+        to this solver, checkable with
+        :func:`repro.sat.proof.check_rup_proof`.  Raises
+        :class:`RuntimeError` once the solver has solved: the clauses
+        learned by then would be missing from the log.
         """
-        k = self._k
-        if k is None:
-            self._proof = logger
-            return
-        self._k = None
-        self._stats = k.stats.snapshot()
-        self._stats.kernel = "legacy"
-        self._last_stats = k.last_stats
-        self._proof = logger
-        if not k._ok:
-            self._ok = False
-            self._proof.add([])
-            return
-        if k.num_vars:
-            self.ensure_var(k.num_vars)
-        for lits in k.problem_clauses():
-            if not self.add_clause(lits):
-                return
-        for lit in k.root_literals():
-            self._proof.add([lit])  # level-0 facts are UP-derivable
-            if not self.add_clause([lit]):
-                return
+        self._k.attach_proof(logger)
 
     def new_var(self) -> int:
         """Create a fresh variable and return its (positive) number."""
-        if self._k is not None:
-            return self._k.new_var()
-        var = len(self._assigns)
-        self._assigns.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        self._activity.append(0.0)
-        self._saved_phase.append(self.config.default_phase)
-        self._seen.append(0)
-        self._watches.append([])
-        self._watches.append([])
-        heapq.heappush(self._order_heap, (0.0, var))
-        return var
+        return self._k.new_var()
 
     def ensure_var(self, var: int) -> None:
         """Make sure variable ``var`` (and all below it) exist."""
-        if self._k is not None:
-            self._k.ensure_var(var)
-            return
-        if var <= 0:
-            raise InvalidLiteralError(f"variables must be positive, got {var}")
-        while self.num_vars < var:
-            self.new_var()
+        self._k.ensure_var(var)
 
     def add_clause(self, lits: list[int] | tuple[int, ...]) -> bool:
         """Add a clause; return False if the formula is now trivially UNSAT.
@@ -259,47 +117,7 @@ class Solver:
         ignored.  Adding an empty (or fully falsified) clause makes the solver
         permanently UNSAT.
         """
-        if self._k is not None:
-            return self._k.add_clause(lits)
-        if not self._ok:
-            return False
-        self._backtrack(0)
-
-        simplified: list[int] = []
-        seen_here: set[int] = set()
-        for lit in lits:
-            if not isinstance(lit, int) or lit == 0:
-                raise InvalidLiteralError(f"invalid literal {lit!r}")
-            self.ensure_var(abs(lit))
-            if -lit in seen_here:
-                return True  # tautology: x ∨ ¬x
-            if lit in seen_here:
-                continue
-            value = self._value(lit)
-            if value == 1:
-                return True  # already satisfied at level 0
-            if value == -1:
-                continue  # falsified at level 0: drop the literal
-            seen_here.add(lit)
-            simplified.append(lit)
-
-        if not simplified:
-            # Every literal is false under the level-0 assignment: the
-            # formula is refuted (a RUP-checkable empty clause).
-            self._ok = False
-            if self._proof is not None:
-                self._proof.add([])
-            return False
-        if len(simplified) == 1:
-            self._enqueue(simplified[0], None)
-            self._ok = self._propagate() is None
-            if not self._ok and self._proof is not None:
-                self._proof.add([])
-            return self._ok
-        clause = Clause(simplified)
-        self._clauses.append(clause)
-        self._attach(clause)
-        return True
+        return self._k.add_clause(lits)
 
     def add_clauses(self, clauses) -> bool:
         """Add many clauses; return False if the formula became UNSAT."""
@@ -307,6 +125,25 @@ class Solver:
         for lits in clauses:
             ok = self.add_clause(lits) and ok
         return ok
+
+    def import_clauses(self, clauses) -> int:
+        """Add clauses learned elsewhere on the same formula.
+
+        The clauses must be logical consequences of the problem clauses
+        (e.g. another solver's :meth:`export_learned` output), which makes
+        adding them permanently sound.  Returns the number of clauses
+        processed; stops early if the formula becomes unconditionally
+        UNSAT.
+        """
+        return self._k.import_clauses(clauses)
+
+    def simplify(self) -> bool:
+        """Remove clauses satisfied at level 0; False if already UNSAT."""
+        return self._k.simplify()
+
+    # ------------------------------------------------------------------
+    # Solving and answers
+    # ------------------------------------------------------------------
 
     def solve(
         self, assumptions: list[int] | tuple[int, ...] = ()
@@ -319,118 +156,23 @@ class Solver:
         the model; after UNSAT under assumptions, :meth:`unsat_core` lists
         the failed subset.
         """
-        if self._k is not None:
-            return self._k.solve(assumptions)
-        start = time.perf_counter()
-        self._solve_started = start
-        before = self.stats.snapshot()
-        self.stats.solve_calls += 1
-        self._model = None
-        self._conflict_core = []
-        for lit in assumptions:
-            self.ensure_var(abs(lit))
-
-        if not self._ok:
-            self.stats.solve_time += time.perf_counter() - start
-            self.last_stats = self.stats.delta(before)
-            return SolveResult.UNSAT
-
-        self._backtrack(0)
-        self._n_assumptions = len(assumptions)
-        result = self._search(list(assumptions))
-        self._backtrack(0)
-        self.stats.solve_time += time.perf_counter() - start
-        if self._profiler is not None:
-            self.stats.profile = self._profiler.as_counters()
-        self.last_stats = self.stats.delta(before)
-        return result
+        return self._k.solve(assumptions)
 
     def model_value(self, lit: int) -> bool | None:
         """Value of ``lit`` in the last model (None if never assigned)."""
-        if self._k is not None:
-            return self._k.model_value(lit)
-        if self._model is None:
-            raise RuntimeError("no model available: last solve was not SAT")
-        var = abs(lit)
-        if var >= len(self._model) or self._model[var] == 0:
-            return None
-        value = self._model[var] > 0
-        return value if lit > 0 else not value
+        return self._k.model_value(lit)
 
     def model(self) -> list[int]:
         """The last model as a list of true literals (DIMACS convention)."""
-        if self._k is not None:
-            return self._k.model()
-        if self._model is None:
-            raise RuntimeError("no model available: last solve was not SAT")
-        return [
-            var if self._model[var] > 0 else -var
-            for var in range(1, len(self._model))
-            if self._model[var] != 0
-        ]
+        return self._k.model()
 
     def unsat_core(self) -> list[int]:
         """Subset of the assumptions responsible for the last UNSAT answer."""
-        if self._k is not None:
-            return self._k.unsat_core()
-        return list(self._conflict_core)
+        return self._k.unsat_core()
 
     def root_literals(self) -> list[int]:
         """The level-0 trail (facts derived unconditionally), in order."""
-        if self._k is not None:
-            return self._k.root_literals()
-        boundary = (
-            self._trail_lim[0] if self._trail_lim else len(self._trail)
-        )
-        return list(self._trail[:boundary])
-
-    def on_progress(self, callback, interval_conflicts: int = 2000) -> None:
-        """Invoke ``callback(snapshot)`` every ``interval_conflicts``
-        conflicts during search — a periodic progress feed for long solves.
-
-        ``snapshot`` is the dict of :meth:`progress_snapshot`.  Pass
-        ``callback=None`` to detach.  The hook costs one attribute check
-        per conflict when detached.
-        """
-        if self._k is not None:
-            self._k.on_progress(callback, interval_conflicts)
-            return
-        if callback is not None and interval_conflicts < 1:
-            raise ValueError(
-                f"interval_conflicts must be >= 1, got {interval_conflicts}"
-            )
-        self._progress_cb = callback
-        self._progress_interval = interval_conflicts
-
-    def on_event(self, callback) -> None:
-        """Invoke ``callback(kind, **args)`` at notable search events.
-
-        Emitted kinds: ``"restart"`` (with the conflict interval that
-        triggered it) and ``"deadline.hit"`` (wall budget expired
-        mid-search).  Pass None to detach; the detached hook costs one
-        attribute check per event.  The observability layers attach this
-        to feed the structured event stream (:mod:`repro.obs.events`) —
-        the solver itself stays import-free of it.
-        """
-        if self._k is not None:
-            self._k.on_event(callback)
-            return
-        self._event_cb = callback
-
-    def progress_snapshot(self) -> dict:
-        """A cheap point-in-time view of the search state."""
-        if self._k is not None:
-            return self._k.progress_snapshot()
-        return {
-            "conflicts": self.stats.conflicts,
-            "propagations": self.stats.propagations,
-            "decisions": self.stats.decisions,
-            "restarts": self.stats.restarts,
-            "learned": len(self._learned),
-            "decision_level": self._decision_level(),
-            "trail": len(self._trail),
-            "vars": self.num_vars,
-        }
+        return self._k.root_literals()
 
     def export_learned(
         self,
@@ -453,653 +195,34 @@ class Solver:
         updated*, so repeated calls on the same set only return clauses
         not exported before.  ``limit`` bounds the number returned.
         """
-        if self._k is not None:
-            return self._k.export_learned(max_lbd, max_len, limit, skip_keys)
-        out: list[list[int]] = []
+        return self._k.export_learned(max_lbd, max_len, limit, skip_keys)
 
-        def take(lits) -> None:
-            if skip_keys is not None:
-                key = tuple(sorted(lits))
-                if key in skip_keys:
-                    return
-                skip_keys.add(key)
-            out.append(list(lits))
+    # ------------------------------------------------------------------
+    # Observation hooks
+    # ------------------------------------------------------------------
 
-        # Level-0 facts first: the strongest shareable knowledge.
-        boundary = (
-            self._trail_lim[0] if self._trail_lim else len(self._trail)
-        )
-        for lit in self._trail[:boundary]:
-            if limit is not None and len(out) >= limit:
-                return out
-            take([lit])
-        for clause in self._learned:
-            if limit is not None and len(out) >= limit:
-                break
-            if clause.lbd <= max_lbd and len(clause.lits) <= max_len:
-                take(clause.lits)
-        return out
+    def on_progress(self, callback, interval_conflicts: int = 2000) -> None:
+        """Invoke ``callback(snapshot)`` every ``interval_conflicts``
+        conflicts during search — a periodic progress feed for long solves.
 
-    def import_clauses(self, clauses) -> int:
-        """Add clauses learned elsewhere on the same formula.
-
-        The clauses must be logical consequences of the problem clauses
-        (e.g. another solver's :meth:`export_learned` output), which makes
-        adding them permanently sound.  Returns the number of clauses
-        processed; stops early if the formula becomes unconditionally
-        UNSAT.
+        ``snapshot`` is the dict of :meth:`progress_snapshot`.  Pass
+        ``callback=None`` to detach.  The hook costs one attribute check
+        per conflict when detached.
         """
-        if self._k is not None:
-            return self._k.import_clauses(clauses)
-        count = 0
-        for lits in clauses:
-            self.add_clause(lits)
-            count += 1
-            if not self._ok:
-                break
-        return count
+        self._k.on_progress(callback, interval_conflicts)
 
-    def simplify(self) -> bool:
-        """Remove clauses satisfied at level 0; False if already UNSAT."""
-        if self._k is not None:
-            return self._k.simplify()
-        if not self._ok:
-            return False
-        self._backtrack(0)
-        if self._propagate() is not None:
-            self._ok = False
-            return False
-        for db in (self._clauses, self._learned):
-            kept = []
-            for clause in db:
-                if any(self._value(lit) == 1 for lit in clause.lits):
-                    self._detach(clause)
-                else:
-                    kept.append(clause)
-            db[:] = kept
-        return True
+    def on_event(self, callback) -> None:
+        """Invoke ``callback(kind, **args)`` at notable search events.
 
-    # ------------------------------------------------------------------
-    # Internal: assignment primitives
-    # ------------------------------------------------------------------
-
-    def _value(self, lit: int) -> int:
-        """Return 1/-1/0 for true/false/unassigned literal."""
-        value = self._assigns[abs(lit)]
-        return value if lit > 0 else -value
-
-    @staticmethod
-    def _lit_index(lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _enqueue(self, lit: int, reason: Clause | None) -> None:
-        """Put ``lit`` on the trail as true with the given reason clause."""
-        var = abs(lit)
-        self._assigns[var] = 1 if lit > 0 else -1
-        self._level[var] = self._decision_level()
-        self._reason[var] = reason
-        self._trail.append(lit)
-
-    def _new_decision_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
-
-    def _backtrack(self, target_level: int) -> None:
-        """Undo all assignments above ``target_level``."""
-        if self._decision_level() <= target_level:
-            return
-        phase_saving = self.config.use_phase_saving
-        boundary = self._trail_lim[target_level]
-        for i in range(len(self._trail) - 1, boundary - 1, -1):
-            lit = self._trail[i]
-            var = abs(lit)
-            if phase_saving:
-                self._saved_phase[var] = lit > 0
-            self._assigns[var] = 0
-            self._reason[var] = None
-            heapq.heappush(self._order_heap, (-self._activity[var], var))
-        del self._trail[boundary:]
-        del self._trail_lim[target_level:]
-        self._qhead = len(self._trail)
-
-    # ------------------------------------------------------------------
-    # Internal: watches and propagation
-    # ------------------------------------------------------------------
-
-    def _attach(self, clause: Clause) -> None:
-        lits = clause.lits
-        watchers = self._watches[self._lit_index(lits[0])]
-        watchers.append(clause)
-        watchers.append(lits[1])
-        watchers = self._watches[self._lit_index(lits[1])]
-        watchers.append(clause)
-        watchers.append(lits[0])
-
-    def _detach(self, clause: Clause) -> None:
-        # Lazy tombstone: propagation reaps the watcher entries the next
-        # time it visits them, so clause-DB reduction is O(1) per clause
-        # instead of an O(watchers) remove scan.
-        clause.deleted = True
-
-    def _propagate(self) -> Clause | None:
-        """Unit-propagate the trail; return a conflicting clause or None."""
-        assigns = self._assigns
-        watches = self._watches
-        trail = self._trail
-        propagations = 0
-        conflict: Clause | None = None
-        while self._qhead < len(trail):
-            p = trail[self._qhead]
-            self._qhead += 1
-            propagations += 1
-            false_lit = -p
-            idx = 2 * false_lit if false_lit > 0 else -2 * false_lit + 1
-            watchers = watches[idx]
-            keep = 0
-            n_watchers = len(watchers)
-            i = 0
-            while i < n_watchers:
-                clause = watchers[i]
-                blocker = watchers[i + 1]
-                i += 2
-                blocker_val = (assigns[blocker] if blocker > 0
-                               else -assigns[-blocker])
-                if blocker_val == 1:
-                    # Blocker satisfied: clause untouched, entry kept.
-                    watchers[keep] = clause
-                    watchers[keep + 1] = blocker
-                    keep += 2
-                    continue
-                if clause.deleted:
-                    continue  # tombstone: reap the entry
-                lits = clause.lits
-                # Normalize: the falsified watch sits at position 1.
-                if lits[0] == false_lit:
-                    lits[0] = lits[1]
-                    lits[1] = false_lit
-                first = lits[0]
-                first_val = assigns[first] if first > 0 else -assigns[-first]
-                if first_val == 1:
-                    watchers[keep] = clause
-                    watchers[keep + 1] = first
-                    keep += 2
-                    continue
-                # Look for a new literal to watch.
-                found = False
-                for k in range(2, len(lits)):
-                    other = lits[k]
-                    other_val = (assigns[other] if other > 0
-                                 else -assigns[-other])
-                    if other_val != -1:
-                        lits[1] = other
-                        lits[k] = false_lit
-                        other_idx = 2 * other if other > 0 else -2 * other + 1
-                        other_watchers = watches[other_idx]
-                        other_watchers.append(clause)
-                        other_watchers.append(first)
-                        found = True
-                        break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watchers[keep] = clause
-                watchers[keep + 1] = first
-                keep += 2
-                if first_val == -1:
-                    # Conflict: keep remaining watchers, stop propagating.
-                    while i < n_watchers:
-                        watchers[keep] = watchers[i]
-                        watchers[keep + 1] = watchers[i + 1]
-                        keep += 2
-                        i += 2
-                    self._qhead = len(trail)
-                    conflict = clause
-                else:
-                    self._enqueue(first, clause)
-            del watchers[keep:]
-            if conflict is not None:
-                break
-        self.stats.propagations += propagations
-        return conflict
-
-    # ------------------------------------------------------------------
-    # Internal: conflict analysis
-    # ------------------------------------------------------------------
-
-    def _bump_var(self, var: int) -> None:
-        activity = self._activity[var] + self._var_inc
-        self._activity[var] = activity
-        if activity > _RESCALE_LIMIT:
-            for v in range(1, len(self._activity)):
-                self._activity[v] *= _RESCALE_FACTOR
-            self._var_inc *= _RESCALE_FACTOR
-            # All outstanding heap entries are now stale; rebuild so every
-            # unassigned variable keeps a valid entry.
-            self._order_heap = [
-                (-self._activity[v], v)
-                for v in range(1, len(self._assigns))
-                if self._assigns[v] == 0
-            ]
-            heapq.heapify(self._order_heap)
-
-    def _bump_clause(self, clause: Clause) -> None:
-        clause.activity += self._cla_inc
-        if clause.activity > _RESCALE_LIMIT:
-            for learned in self._learned:
-                learned.activity *= _RESCALE_FACTOR
-            self._cla_inc *= _RESCALE_FACTOR
-
-    def _analyze(self, conflict: Clause) -> tuple[list[int], int, int]:
-        """First-UIP conflict analysis.
-
-        Returns ``(learned_lits, backtrack_level, lbd)`` where
-        ``learned_lits[0]`` is the asserting literal.
+        Emitted kinds: ``"restart"`` (with the conflict interval that
+        triggered it) and ``"deadline.hit"`` (wall budget expired
+        mid-search).  Pass None to detach; the detached hook costs one
+        attribute check per event.  The observability layers attach this
+        to feed the structured event stream (:mod:`repro.obs.events`) —
+        the solver itself stays import-free of it.
         """
-        seen = self._seen
-        level = self._level
-        trail = self._trail
-        current_level = self._decision_level()
+        self._k.on_event(callback)
 
-        learned: list[int] = [0]  # placeholder for the asserting literal
-        counter = 0  # literals of the current level still to resolve
-        p = 0  # 0 = "resolve the whole conflict clause" sentinel
-        index = len(trail) - 1
-        reason: Clause | None = conflict
-
-        while True:
-            if reason is not None:
-                if reason.learned:
-                    self._bump_clause(reason)
-                start = 0 if p == 0 else 1
-                for lit in reason.lits[start:]:
-                    var = abs(lit)
-                    if not seen[var] and level[var] > 0:
-                        seen[var] = 1
-                        self._bump_var(var)
-                        if level[var] >= current_level:
-                            counter += 1
-                        else:
-                            learned.append(lit)
-            # Walk the trail backwards to the next marked literal.
-            while not seen[abs(trail[index])]:
-                index -= 1
-            p = trail[index]
-            var = abs(p)
-            seen[var] = 0
-            index -= 1
-            counter -= 1
-            if counter == 0:
-                break
-            reason = self._reason[var]
-
-        learned[0] = -p
-
-        # Mark remaining literals for redundancy checks, then minimize.
-        self._to_clear = [abs(lit) for lit in learned[1:]]
-        for lit in learned[1:]:
-            seen[abs(lit)] = 1
-        if self.config.use_minimization and len(learned) > 1:
-            learned = self._minimize(learned)
-
-        lbd = len({level[abs(lit)] for lit in learned})
-
-        for var in self._to_clear:
-            seen[var] = 0
-        self._to_clear = []
-
-        if len(learned) == 1:
-            backtrack_level = 0
-        else:
-            # Move the highest-level remaining literal to position 1.
-            max_i = 1
-            for i in range(2, len(learned)):
-                if level[abs(learned[i])] > level[abs(learned[max_i])]:
-                    max_i = i
-            learned[1], learned[max_i] = learned[max_i], learned[1]
-            backtrack_level = level[abs(learned[1])]
-        return learned, backtrack_level, lbd
-
-    def _minimize(self, learned: list[int]) -> list[int]:
-        """Remove literals implied by the rest of the clause (recursive)."""
-        # Levels present in the clause; a redundant literal's derivation can
-        # only pass through these levels.
-        levels = {self._level[abs(lit)] for lit in learned[1:]}
-        result = [learned[0]]
-        for lit in learned[1:]:
-            if (self._reason[abs(lit)] is None
-                    or not self._redundant(lit, levels)):
-                result.append(lit)
-            else:
-                self.stats.minimized_literals += 1
-        return result
-
-    def _redundant(self, lit: int, levels: set[int]) -> bool:
-        """Is ``lit`` implied by seen literals (standard litRedundant)?"""
-        seen = self._seen
-        stack = [lit]
-        marked_here: list[int] = []
-        while stack:
-            top = stack.pop()
-            reason = self._reason[abs(top)]
-            assert reason is not None
-            for q in reason.lits[1:]:
-                var = abs(q)
-                if seen[var] or self._level[var] == 0:
-                    continue
-                if self._reason[var] is None or self._level[var] not in levels:
-                    # Cannot resolve q away: lit is not redundant.  Undo marks.
-                    for v in marked_here:
-                        seen[v] = 0
-                    return False
-                seen[var] = 1
-                marked_here.append(var)
-                stack.append(q)
-        # Keep marks (valid "seen" facts for later checks) but remember to
-        # clear them once the overall conflict analysis finishes.
-        self._to_clear.extend(marked_here)
-        return True
-
-    def _analyze_final(self, failed_lit: int) -> list[int]:
-        """Compute the unsat core when ``failed_lit`` is falsified."""
-        core = [failed_lit]
-        if self._decision_level() == 0:
-            return core
-        seen = self._seen
-        var0 = abs(failed_lit)
-        seen[var0] = 1
-        boundary = self._trail_lim[0]
-        for i in range(len(self._trail) - 1, boundary - 1, -1):
-            var = abs(self._trail[i])
-            if not seen[var]:
-                continue
-            reason = self._reason[var]
-            if reason is None:
-                # A decision inside the assumption prefix: part of the core.
-                # The decision literal *is* the assumption as passed in.
-                if self._trail[i] != failed_lit:
-                    core.append(self._trail[i])
-            else:
-                for lit in reason.lits[1:]:
-                    if self._level[abs(lit)] > 0:
-                        seen[abs(lit)] = 1
-            seen[var] = 0
-        seen[var0] = 0
-        return core
-
-    # ------------------------------------------------------------------
-    # Internal: decisions and clause deletion
-    # ------------------------------------------------------------------
-
-    def _pick_branch_var(self) -> int:
-        """Pop the most active unassigned variable from the order heap.
-
-        With ``config.random_var_freq > 0`` an occasional decision picks a
-        uniformly random unassigned variable instead (MiniSat's classic
-        diversification knob, used by the portfolio to decorrelate member
-        searches).  All randomness flows through the per-solver seeded RNG,
-        so equal seeds give identical decision sequences.
-        """
-        if (
-            self.config.random_var_freq > 0.0
-            and self.num_vars > 0
-            and self._rng.random() < self.config.random_var_freq
-        ):
-            var = self._rng.randint(1, self.num_vars)
-            if self._assigns[var] == 0:
-                self.stats.random_decisions += 1
-                return var
-        if self.config.use_vsids:
-            heap = self._order_heap
-            while heap:
-                neg_activity, var = heapq.heappop(heap)
-                if (self._assigns[var] == 0
-                        and -neg_activity == self._activity[var]):
-                    return var
-            return 0
-        for var in range(1, len(self._assigns)):
-            if self._assigns[var] == 0:
-                return var
-        return 0
-
-    def _reduce_learned(self) -> None:
-        """Throw away the less useful half of the learned clauses."""
-        learned = self._learned
-        # Glue clauses (lbd <= 2) and reason clauses are kept unconditionally.
-        locked = {id(self._reason[abs(lit)]) for lit in self._trail
-                  if self._reason[abs(lit)] is not None}
-        learned.sort(key=lambda c: (c.lbd <= 2, c.activity), reverse=True)
-        limit = len(learned) // 2
-        kept: list[Clause] = []
-        for i, clause in enumerate(learned):
-            if i < limit or clause.lbd <= 2 or id(clause) in locked:
-                kept.append(clause)
-            else:
-                self._detach(clause)
-                self.stats.deleted_clauses += 1
-                if self._proof is not None:
-                    self._proof.delete(list(clause.lits))
-        self._learned = kept
-
-    # ------------------------------------------------------------------
-    # Internal: main search loop
-    # ------------------------------------------------------------------
-
-    def _search(self, assumptions: list[int]) -> SolveResult:
-        config = self.config
-        luby_gen = LubyGenerator(config.restart_base)
-        restart_limit = luby_gen.next_limit() if config.use_restarts else None
-        conflicts_since_restart = 0
-        total_conflict_budget = config.conflict_limit
-        deadline_at: float | None = None
-        if config.wall_deadline_s is not None:
-            deadline_at = self._solve_started + config.wall_deadline_s
-            if time.perf_counter() >= deadline_at:
-                self.stats.deadline_hits += 1
-                if self._event_cb is not None:
-                    self._event_cb(
-                        "deadline.hit", conflicts=self.stats.conflicts
-                    )
-                return SolveResult.UNKNOWN
-        deadline_interval = max(1, config.deadline_check_interval)
-        # Local alias: the profiling-off hot path pays one None check per
-        # operation; when on, PhaseProfiler.run counts every op and reads
-        # the clock only during sampled conflict intervals.
-        prof = self._profiler
-        events_since_check = 0
-        max_learned = max(
-            config.learned_clause_min_limit,
-            int(len(self._clauses) * config.learned_clause_limit_factor),
-        )
-
-        while True:
-            if prof is None:
-                conflict = self._propagate()
-            else:
-                conflict = prof.run("propagate", self._propagate)
-            if conflict is not None:
-                self.stats.conflicts += 1
-                conflicts_since_restart += 1
-                if prof is not None:
-                    prof.on_conflict()
-                if (
-                    self._progress_cb is not None
-                    and self.stats.conflicts % self._progress_interval == 0
-                ):
-                    self._progress_cb(self.progress_snapshot())
-                if deadline_at is not None:
-                    events_since_check += 1
-                    if events_since_check >= deadline_interval:
-                        events_since_check = 0
-                        if time.perf_counter() >= deadline_at:
-                            self.stats.deadline_hits += 1
-                            if self._event_cb is not None:
-                                self._event_cb(
-                                    "deadline.hit",
-                                    conflicts=self.stats.conflicts,
-                                )
-                            return SolveResult.UNKNOWN
-                if self._decision_level() == 0:
-                    self._ok = False
-                    if self._proof is not None:
-                        self._proof.add([])
-                    return SolveResult.UNSAT
-                if self._decision_level() <= self._n_assumptions_assigned():
-                    # Conflict entirely inside the assumption prefix.
-                    self._conflict_core = self._core_from_conflict(conflict)
-                    return SolveResult.UNSAT
-                if prof is None:
-                    learned, backtrack_level, lbd = self._analyze(conflict)
-                else:
-                    learned, backtrack_level, lbd = prof.run(
-                        "analyze", self._analyze, conflict
-                    )
-                if self._proof is not None:
-                    self._proof.add(list(learned))
-                backtrack_level = max(
-                    backtrack_level, self._n_assumptions_assigned()
-                )
-                if prof is None:
-                    self._backtrack(backtrack_level)
-                else:
-                    prof.run("backtrack", self._backtrack, backtrack_level)
-                if len(learned) == 1:
-                    self._enqueue(learned[0], None)
-                else:
-                    clause = Clause(learned, learned=True, lbd=lbd)
-                    self._learned.append(clause)
-                    self._attach(clause)
-                    self._bump_clause(clause)
-                    self._enqueue(learned[0], clause)
-                self.stats.learned_clauses += 1
-                self.stats.learned_literals += len(learned)
-                self.stats.sum_lbd += lbd
-                if lbd > self.stats.max_lbd:
-                    self.stats.max_lbd = lbd
-                self._var_inc /= config.var_decay
-                self._cla_inc /= config.clause_decay
-                if total_conflict_budget is not None:
-                    total_conflict_budget -= 1
-                    if total_conflict_budget <= 0:
-                        return SolveResult.UNKNOWN
-                continue
-
-            # No conflict.
-            if (
-                restart_limit is not None
-                and conflicts_since_restart >= restart_limit
-            ):
-                self.stats.restarts += 1
-                self.stats.restart_conflict_deltas.append(
-                    conflicts_since_restart
-                )
-                if self._event_cb is not None:
-                    self._event_cb(
-                        "restart",
-                        restarts=self.stats.restarts,
-                        conflicts=self.stats.conflicts,
-                        interval=conflicts_since_restart,
-                    )
-                conflicts_since_restart = 0
-                restart_limit = luby_gen.next_limit()
-                if prof is None:
-                    self._backtrack(self._n_assumptions_assigned())
-                else:
-                    prof.run(
-                        "restart",
-                        self._backtrack,
-                        self._n_assumptions_assigned(),
-                    )
-                continue
-
-            if (
-                config.use_clause_deletion
-                and len(self._learned) >= max_learned
-            ):
-                self._reduce_learned()
-                max_learned = int(
-                    max_learned * config.learned_clause_limit_growth
-                )
-
-            # Extend the assumption prefix before free decisions.
-            level = self._decision_level()
-            if level < len(assumptions):
-                lit = assumptions[level]
-                value = self._value(lit)
-                if value == -1:
-                    self._conflict_core = self._analyze_final(lit)
-                    return SolveResult.UNSAT
-                self._new_decision_level()
-                if value == 0:
-                    self.stats.decisions += 1
-                    self._enqueue(lit, None)
-                continue
-
-            if prof is None:
-                var = self._pick_branch_var()
-            else:
-                var = prof.run("decide", self._pick_branch_var)
-            if var == 0:
-                # All variables assigned: model found.
-                self._model = list(self._assigns)
-                return SolveResult.SAT
-            if deadline_at is not None:
-                # Decisions count too: conflict-free searches (huge easy
-                # instances) must still notice an expired deadline.
-                events_since_check += 1
-                if events_since_check >= deadline_interval:
-                    events_since_check = 0
-                    if time.perf_counter() >= deadline_at:
-                        self.stats.deadline_hits += 1
-                        if self._event_cb is not None:
-                            self._event_cb(
-                                "deadline.hit",
-                                conflicts=self.stats.conflicts,
-                            )
-                        return SolveResult.UNKNOWN
-            self.stats.decisions += 1
-            phase = (
-                self._saved_phase[var]
-                if config.use_phase_saving
-                else config.default_phase
-            )
-            self._new_decision_level()
-            self.stats.max_decision_level = max(
-                self.stats.max_decision_level, self._decision_level()
-            )
-            self._enqueue(var if phase else -var, None)
-
-    def _n_assumptions_assigned(self) -> int:
-        """Decision levels currently holding assumption literals."""
-        return min(self._n_assumptions, self._decision_level())
-
-    def _core_from_conflict(self, conflict: Clause) -> list[int]:
-        """Unsat core when propagation under assumptions hit ``conflict``."""
-        seen = self._seen
-        core: list[int] = []
-        marked: list[int] = []
-        for lit in conflict.lits:
-            var = abs(lit)
-            if self._level[var] > 0 and not seen[var]:
-                seen[var] = 1
-                marked.append(var)
-        boundary = self._trail_lim[0]
-        for i in range(len(self._trail) - 1, boundary - 1, -1):
-            lit = self._trail[i]
-            var = abs(lit)
-            if not seen[var]:
-                continue
-            reason = self._reason[var]
-            if reason is None:
-                core.append(lit)
-            else:
-                for q in reason.lits[1:]:
-                    qvar = abs(q)
-                    if self._level[qvar] > 0 and not seen[qvar]:
-                        seen[qvar] = 1
-                        marked.append(qvar)
-            seen[var] = 0
-        for var in marked:
-            seen[var] = 0
-        return core
+    def progress_snapshot(self) -> dict:
+        """A cheap point-in-time view of the search state."""
+        return self._k.progress_snapshot()

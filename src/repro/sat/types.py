@@ -75,13 +75,11 @@ class SolverStats:
     #: published by the solver when ``SolverConfig.profile`` is on; exported
     #: by :meth:`as_dict` under ``profile.*`` keys.
     profile: dict[str, float] = field(default_factory=dict)
-    #: The engine that produced these counters: ``"legacy"`` (object-graph
-    #: solver), ``"interpreted"`` (pure-Python array kernel) or
-    #: ``"compiled"`` (mypyc/Cython-built kernel).  Exported by
-    #: :meth:`as_dict` as ``kernel.<kind> = solve_calls`` — additive like
-    #: every other counter, so portfolio/service merges count the solve
-    #: calls answered per engine and cross-kernel disagreements stay
-    #: diagnosable.
+    #: The kernel build that produced these counters: ``"interpreted"``
+    #: (pure-Python source) or ``"compiled"`` (mypyc/Cython extension).
+    #: Exported by :meth:`as_dict` as ``kernel.<build> = solve_calls`` —
+    #: additive like every other counter, so portfolio/service merges
+    #: count the solve calls answered per build.
     kernel: str = ""
 
     def as_dict(self) -> dict[str, float]:
@@ -189,12 +187,4 @@ class SolverConfig:
     #: Conflict intervals between timed samples when profiling (1 = time
     #: everything; the default keeps overhead well under 5%).
     profile_sample_period: int = 16
-    #: Which search engine backs the solver: ``"auto"`` picks the compiled
-    #: array kernel when built, else the interpreted array kernel;
-    #: ``"interpreted"``/``"compiled"`` force one kernel build;
-    #: ``"legacy"`` forces the object-graph reference engine.  The
-    #: ``REPRO_KERNEL`` environment variable overrides this for a whole
-    #: process tree (CI exercises the fallback this way).  Attaching a
-    #: proof logger always falls back to the legacy engine.
-    kernel: str = "auto"
     extra_checks: bool = field(default=False, repr=False)

@@ -340,11 +340,11 @@ def _handle_disagreement(scenario, record, jobs, check_optimum,
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, f"repro-seed-{record.seed}.json")
         smallest.meta["fuzz"]["verdicts"] = record.verdicts
-        # Which SAT engine produced the disagreement: a reproducer found
-        # under one kernel build may not reproduce under another.
-        from repro.sat.kernel import resolve_kind
+        # Which kernel build produced the disagreement: a reproducer
+        # found under one build may not reproduce under another.
+        from repro.sat.kernel import kernel_build
 
-        smallest.meta["fuzz"]["kernel"] = resolve_kind()
+        smallest.meta["fuzz"]["kernel"] = kernel_build()
         with open(path, "w") as handle:
             handle.write(smallest.to_json())
             handle.write("\n")

@@ -260,6 +260,17 @@ class TestGatewayEndToEnd:
         assert replay["warm_started"]
         assert replay["solve_calls"] == 0
 
+    def test_deadline_cut_answer_is_not_cached(self, gateway):
+        payload = {"task": "generate", "case": "nordlandsbanen"}
+        cut = gateway.request(dict(payload, deadline_s=0.05))
+        assert cut["ok"] and cut["status"] == "timeout"
+        # The same request without a deadline must get a full answer,
+        # not the replayed deadline-cut one.
+        full = gateway.request(payload)
+        assert full["ok"] and not full["cached"]
+        assert full["status"] == "optimal"
+        assert gateway.request(payload)["cached"]
+
     def test_expired_deadline_is_rejected(self, gateway):
         payload = _inline_payload(no_cache=True, deadline_s=0.0)
         response = gateway.request(payload)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.encoding.encoder import EtcsEncoding
 from repro.sat import SolveResult
-from repro.sat.clause import Clause
 from repro.sat.types import InvalidLiteralError, SatError
 from repro.tasks.common import SolutionInvalidError, checked_decode
 
@@ -52,15 +51,6 @@ class TestErrorHierarchy:
 
 
 class TestReprs:
-    def test_clause_repr(self):
-        assert "problem" in repr(Clause([1, -2]))
-        assert "learned" in repr(Clause([1], learned=True))
-
-    def test_clause_iteration(self):
-        clause = Clause([3, -1, 2])
-        assert list(clause) == [3, -1, 2]
-        assert len(clause) == 3
-
     def test_greedy_result_defaults(self):
         from repro.baseline.greedy import GreedyResult
 

@@ -40,10 +40,10 @@ class _LyingSolver(Solver):
     """Claims SAT without solving — simulates an unsound member."""
 
     def solve(self, assumptions=()):
-        num_vars = self.num_vars
-        self._k = None  # lie through the legacy state, whatever the kernel
-        self._model = [0] + [1] * num_vars
         return SolveResult.SAT
+
+    def model(self):
+        return list(range(1, self.num_vars + 1))
 
 
 def lying_factory(config):

@@ -1,64 +1,55 @@
-"""Kernel-vs-legacy lockstep: the array engine must be trace-identical.
+"""The array kernel, checked against references that share no code with it.
 
-The array kernel (:mod:`repro.sat._kernel`) is not "another solver that
-happens to agree" — it implements the *same* CDCL algorithm as the
-legacy object-graph engine, decision for decision.  Under a fixed seed
-the two must therefore produce byte-identical verdicts, models, cores,
-level-0 trails, and search counters (propagations, conflicts,
-decisions, restarts) on any input.  This suite certifies that on
-hypothesis-generated CNFs, on incremental/assumption workloads, and on
-the CNFs of 25 fuzz scenarios, plus the kernel selection machinery
-(config, ``REPRO_KERNEL`` override, proof-logging fallback).
+:class:`repro.sat.Solver` runs on one engine, the flat-array kernel of
+:mod:`repro.sat._kernel`.  Every answer below is certified
+independently: a SAT model must satisfy every clause (and every
+assumption), an UNSAT answer must carry a DRAT proof that
+:func:`repro.sat.proof.check_rup_proof` accepts, and an unsat core must
+be a subset of the assumptions that refutes the formula with a proof of
+its own.  This runs on hypothesis-generated CNFs, on incremental and
+assumption workloads, under non-default configurations, and on the
+eager encodings of 25 fuzz scenarios.
+
+The build a plain import loads must also stay in lockstep with the
+interpreted source: under a fixed seed both produce identical verdicts,
+models, cores, search counters and proof logs.  On a compiled host that
+compares the mypyc extension with ``_kernel.py``; on an interpreted host
+both sides run the same module, which checks that the search is
+deterministic.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sat.kernel import (
-    ENV_VAR,
-    VALID_KINDS,
-    kernel_build,
-    load_kernel,
-    resolve_kind,
-)
+from repro.sat.kernel import kernel_build, load_interpreted
+from repro.sat.proof import ProofLogger, check_rup_proof
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
 
-KERNEL_KIND = kernel_build()  # "interpreted" here; "compiled" in the CI leg
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _unforced_kernel():
-    """Neutralize a process-wide ``REPRO_KERNEL`` for this module.
-
-    The suite's whole point is comparing the two engines against each
-    other, so the env override (which would collapse both sides of
-    every ``_pair`` onto one engine and make lockstep vacuous) is
-    lifted here; the selection tests below re-set it per-test.
-    """
-    saved = os.environ.pop(ENV_VAR, None)
-    yield
-    if saved is not None:
-        os.environ[ENV_VAR] = saved
+KERNEL_KIND = kernel_build()  # "compiled" where the mypyc build is installed
 
 
 def _pair(**config):
-    """One legacy and one kernel solver with identical configuration."""
-    return (
-        Solver(SolverConfig(kernel="legacy", **config)),
-        Solver(SolverConfig(kernel=KERNEL_KIND, **config)),
+    """The build's solver and an interpreted-source kernel, both logging
+    proofs, with identical configuration."""
+    pair = (
+        Solver(SolverConfig(**config)),
+        load_interpreted().Kernel(SolverConfig(**config)),
     )
+    loggers = (ProofLogger(), ProofLogger())
+    for engine, logger in zip(pair, loggers):
+        engine.attach_proof(logger)
+    return pair, loggers
 
 
-def _fingerprint(solver, verdict):
+def _fingerprint(engine, verdict, logger):
     """Everything lockstep promises to keep identical, in one tuple."""
-    stats = solver.stats
+    stats = engine.stats
     return (
         verdict,
         stats.propagations,
@@ -66,27 +57,64 @@ def _fingerprint(solver, verdict):
         stats.decisions,
         stats.restarts,
         stats.learned_clauses,
+        stats.deleted_clauses,
         stats.minimized_literals,
         stats.max_decision_level,
-        sorted(solver.root_literals()),
-        solver.model() if verdict is SolveResult.SAT else None,
-        sorted(solver.unsat_core()) if verdict is SolveResult.UNSAT else None,
+        sorted(engine.root_literals()),
+        engine.model() if verdict is SolveResult.SAT else None,
+        sorted(engine.unsat_core()) if verdict is SolveResult.UNSAT else None,
+        list(logger.steps),
     )
 
 
-def _assert_lockstep(cnf, assumption_rounds=((),)):
-    legacy, kernel = _pair()
-    assert legacy.kernel == "legacy"
-    assert kernel.kernel == KERNEL_KIND
-    for solver in (legacy, kernel):
+def _refutes(num_vars, clauses) -> bool:
+    """Does a fresh solver refute ``clauses`` with a RUP-valid proof?"""
+    solver = Solver()
+    logger = ProofLogger()
+    solver.attach_proof(logger)
+    for lits in clauses:
+        solver.add_clause(list(lits))
+    return (
+        solver.solve() is SolveResult.UNSAT
+        and check_rup_proof(num_vars, clauses, logger.steps)
+    )
+
+
+def _certify(solver, verdict, logger, cnf, assumptions=()):
+    """Check one answer against the formula ``cnf`` it was given."""
+    assert verdict in (SolveResult.SAT, SolveResult.UNSAT)
+    num_vars = max(
+        [abs(lit) for lits in cnf for lit in lits]
+        + [abs(lit) for lit in assumptions] + [1]
+    )
+    if verdict is SolveResult.SAT:
+        true_lits = set(solver.model())
         for lits in cnf:
-            solver.add_clause(list(lits))
+            assert any(lit in true_lits for lit in lits), lits
+        assert all(lit in true_lits for lit in assumptions)
+        return
+    core = solver.unsat_core()
+    if not core:
+        assert check_rup_proof(num_vars, cnf, logger.steps)
+        return
+    assert set(core) <= set(assumptions)
+    assert _refutes(num_vars, list(cnf) + [[lit] for lit in core])
+
+
+def _assert_lockstep(cnf, assumption_rounds=((),), **config):
+    (solver, source), loggers = _pair(**config)
+    assert solver.kernel == KERNEL_KIND
+    assert source.kind == "interpreted"
+    for engine in (solver, source):
+        for lits in cnf:
+            engine.add_clause(list(lits))
     for assumptions in assumption_rounds:
-        verdict_l = legacy.solve(list(assumptions))
-        verdict_k = kernel.solve(list(assumptions))
-        assert _fingerprint(legacy, verdict_l) == (
-            _fingerprint(kernel, verdict_k)
-        )
+        verdict = solver.solve(list(assumptions))
+        verdict_src = source.solve(list(assumptions))
+        assert _fingerprint(solver, verdict, loggers[0]) == (
+            _fingerprint(source, verdict_src, loggers[1])
+        ), config
+        _certify(solver, verdict, loggers[0], cnf, assumptions)
 
 
 clauses_strategy = st.lists(
@@ -115,7 +143,8 @@ class TestLockstepProperties:
     def test_incremental_growth_is_trace_identical(self, seed):
         rng = random.Random(seed)
         nv = rng.randint(8, 40)
-        legacy, kernel = _pair()
+        (solver, source), loggers = _pair()
+        cnf: list[list[int]] = []
         for _round in range(3):
             batch = [
                 [rng.randint(1, nv) * rng.choice([1, -1])
@@ -126,14 +155,18 @@ class TestLockstepProperties:
                 rng.randint(1, nv) * rng.choice([1, -1])
                 for __ in range(rng.randint(0, 2))
             ]
-            for solver in (legacy, kernel):
+            cnf.extend(batch)
+            for engine in (solver, source):
                 for lits in batch:
-                    solver.add_clause(list(lits))
-            verdict_l = legacy.solve(list(assumptions))
-            verdict_k = kernel.solve(list(assumptions))
-            assert _fingerprint(legacy, verdict_l) == (
-                _fingerprint(kernel, verdict_k)
+                    engine.add_clause(list(lits))
+            verdict = solver.solve(list(assumptions))
+            verdict_src = source.solve(list(assumptions))
+            assert _fingerprint(solver, verdict, loggers[0]) == (
+                _fingerprint(source, verdict_src, loggers[1])
             )
+            # The log spans every round: lemmas learned under earlier
+            # clause sets stay consequences of the grown formula.
+            _certify(solver, verdict, loggers[0], cnf, assumptions)
 
     def test_config_variants_stay_in_lockstep(self):
         rng = random.Random(4242)
@@ -148,20 +181,14 @@ class TestLockstepProperties:
             {"random_var_freq": 0.05},
             {"restart_base": 10},
             {"use_clause_deletion": False},
+            {"learned_clause_limit_factor": 0.01,
+             "learned_clause_min_limit": 5},
         ):
-            legacy, kernel = _pair(**config)
-            for solver in (legacy, kernel):
-                for lits in cnf:
-                    solver.add_clause(list(lits))
-            verdict_l = legacy.solve()
-            verdict_k = kernel.solve()
-            assert _fingerprint(legacy, verdict_l) == (
-                _fingerprint(kernel, verdict_k)
-            ), config
+            _assert_lockstep(cnf, **config)
 
 
 class TestLockstepFuzzScenarios:
-    """The 25-scenario differential the acceptance criteria call for."""
+    """The eager encodings of 25 fuzz scenarios, certified."""
 
     @pytest.mark.parametrize("index", range(25))
     def test_fuzz_scenario_cnf_is_trace_identical(self, index):
@@ -180,65 +207,37 @@ class TestKernelSelection:
     def test_build_is_reported(self):
         assert kernel_build() in ("interpreted", "compiled")
 
-    def test_resolve_kind_maps_auto_to_build(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_kind("auto") == kernel_build()
-        assert resolve_kind("legacy") == "legacy"
-
-    def test_env_var_overrides_config(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "legacy")
-        assert resolve_kind("auto") == "legacy"
-        solver = Solver(SolverConfig(kernel="interpreted"))
-        assert solver.kernel == "legacy"
-
-    def test_unknown_kind_rejected(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with pytest.raises(ValueError):
-            resolve_kind("turbo")
-        monkeypatch.setenv(ENV_VAR, "turbo")
-        with pytest.raises(ValueError):
-            resolve_kind("auto")
-
-    def test_valid_kinds_all_resolve(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        for kind in VALID_KINDS:
-            assert resolve_kind(kind) in (
-                "legacy", "interpreted", "compiled"
-            )
-
-    def test_forcing_missing_compiled_build_raises(self):
-        if kernel_build() == "compiled":
-            pytest.skip("compiled build installed")
-        with pytest.raises(RuntimeError):
-            load_kernel("compiled")
-
     def test_interpreted_module_always_loadable(self):
-        module = load_kernel("interpreted")
+        module = load_interpreted()
         assert module.KERNEL_KIND == "interpreted"
 
     def test_stats_record_the_active_kernel(self):
-        legacy, kernel = _pair()
-        for solver in (legacy, kernel):
-            solver.add_clause([1, 2])
-            solver.solve()
-        assert legacy.stats.kernel == "legacy"
-        assert kernel.stats.kernel == KERNEL_KIND
-        assert legacy.stats.as_dict()["kernel.legacy"] == 1
-        assert kernel.stats.as_dict()[f"kernel.{KERNEL_KIND}"] == 1
+        (solver, source), __ = _pair()
+        for engine in (solver, source):
+            engine.add_clause([1, 2])
+            engine.solve()
+        assert solver.stats.kernel == KERNEL_KIND
+        assert source.stats.kernel == "interpreted"
+        assert solver.stats.as_dict()[f"kernel.{KERNEL_KIND}"] == 1
 
-    def test_attach_proof_falls_back_to_legacy(self):
-        from repro.sat.proof import ProofLogger, check_rup_proof
-
+    def test_attach_proof_keeps_the_kernel(self):
         cnf = [[1, 2], [-1, 2], [1, -2], [-1, -2]]
-        solver = Solver(SolverConfig(kernel=KERNEL_KIND))
+        solver = Solver()
         for lits in cnf:
             solver.add_clause(list(lits))
-        assert solver.kernel == KERNEL_KIND
         logger = ProofLogger()
         solver.attach_proof(logger)
-        assert solver.kernel == "legacy"
+        assert solver.kernel == KERNEL_KIND
         assert solver.solve() is SolveResult.UNSAT
+        assert solver.stats.as_dict()[f"kernel.{KERNEL_KIND}"] == 1
         assert check_rup_proof(2, cnf, logger.steps)
+
+    def test_attach_proof_after_solve_raises(self):
+        solver = Solver()
+        solver.add_clause([1, 2])
+        solver.solve()
+        with pytest.raises(RuntimeError):
+            solver.attach_proof(ProofLogger())
 
 
 class TestWireFormat:

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from repro.sat import Solver, SolveResult
+from repro.sat.proof import ProofLogger, check_rup_proof
 from repro.sat.types import InvalidLiteralError, SolverConfig
 
 
@@ -20,6 +21,20 @@ def brute_force_sat(num_vars: int, clauses: list[list[int]]) -> bool:
         if all(any(value(lit) for lit in clause) for clause in clauses):
             return True
     return False
+
+
+def assert_matches_brute_force(config, num_vars, clauses):
+    """The verdict under ``config`` must match enumeration, and an UNSAT
+    answer must carry a DRAT proof that passes the RUP checker."""
+    solver = Solver(config)
+    logger = ProofLogger()
+    solver.attach_proof(logger)
+    for clause in clauses:
+        solver.add_clause(clause)
+    got = solver.solve() is SolveResult.SAT
+    assert got == brute_force_sat(num_vars, clauses)
+    if not got:
+        assert check_rup_proof(num_vars, clauses, logger.steps)
 
 
 class TestBasics:
@@ -248,11 +263,7 @@ class TestConfigVariants:
                 ]
                 for _ in range(rng.randint(1, 25))
             ]
-            solver = Solver(config)
-            for clause in clauses:
-                solver.add_clause(clause)
-            got = solver.solve() is SolveResult.SAT
-            assert got == brute_force_sat(num_vars, clauses)
+            assert_matches_brute_force(config, num_vars, clauses)
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_pigeonhole_unsat_all_configs(self, config):
@@ -336,11 +347,7 @@ class TestStressConfigs:
                  for _ in range(3)]
                 for _ in range(rng.randint(1, 20))
             ]
-            solver = Solver(config)
-            for clause in clauses:
-                solver.add_clause(clause)
-            got = solver.solve() is SolveResult.SAT
-            assert got == brute_force_sat(num_vars, clauses)
+            assert_matches_brute_force(config, num_vars, clauses)
 
     def test_many_solve_calls_same_instance(self):
         solver = Solver()
@@ -402,8 +409,4 @@ class TestSeededRandomness:
                  for _ in range(rng.randint(1, 3))]
                 for _ in range(rng.randint(1, 25))
             ]
-            solver = Solver(config)
-            for clause in clauses:
-                solver.add_clause(clause)
-            got = solver.solve() is SolveResult.SAT
-            assert got == brute_force_sat(num_vars, clauses)
+            assert_matches_brute_force(config, num_vars, clauses)

@@ -151,6 +151,27 @@ class TestOptimization:
         baseline = optimize_schedule(micro_net, headway_schedule, 0.5)
         assert result.time_steps == baseline.time_steps
 
+    def test_warm_start_from_own_model_keeps_the_optimum(self):
+        # Cached models list true literals only, while the makespan
+        # objective is made of negative literals (¬done): the warm seed
+        # must be priced as a full assignment, not as cost 0.
+        from repro.casestudies import all_case_studies
+
+        study = next(
+            s for s in all_case_studies() if s.name == "Running Example"
+        )
+        net = study.discretize()
+        cold = optimize_schedule(net, study.schedule, study.r_t_min)
+        assert cold.time_steps == 7
+        warm = optimize_schedule(
+            net, study.schedule, study.r_t_min,
+            warm_model=cold.model, warm_fingerprint=cold.fingerprint,
+        )
+        assert warm.warm_started
+        assert warm.status == "optimal"
+        assert warm.time_steps == cold.time_steps
+        assert warm.objective_value == cold.objective_value
+
 
 class TestOptionsPlumbing:
     def test_options_forwarded(self, micro_net, single_train_schedule):
