@@ -3,11 +3,13 @@
 Times the raw solver — clause loading plus one search — on the eager
 verification CNFs of the running example and Nordlandsbanen, and records
 propagations per second of search under stable
-``bench.core.<case>.<build>.*`` keys.  ``<build>`` is the kernel build
-a plain import loads: ``interpreted``, or ``compiled`` when the optional
-mypyc extension is built.  On a compiled host the interpreted source is
-timed as well, and ``bench.core.<case>.compiled.speedup`` records the
-compiled build's props/s over it.  Both builds run the same source, so
+``bench.core.<case>.<build>.*`` keys.  ``load_s`` times one bulk
+``add_clauses`` call, the path every task loads its formula through.
+``<build>`` is the kernel build a plain import loads: ``interpreted``,
+or ``compiled`` when the optional mypyc extension is built.  On a
+compiled host the interpreted source is timed as well, and
+``bench.core.<case>.compiled.speedup`` records the compiled build's
+props/s over it.  Both builds run the same source, so
 they search the same tree and the ratio measures interpreter overhead.
 
 Run via ``make bench-core`` (writes ``BENCH_core.json``) or directly::
@@ -54,8 +56,7 @@ def run_engine(factory, num_vars: int, clauses: list[list[int]]) -> dict:
         solver = factory()
         start = time.perf_counter()
         solver.ensure_var(max(num_vars, 1))
-        for clause in clauses:
-            solver.add_clause(clause)
+        solver.add_clauses(clauses)
         load_s = time.perf_counter() - start
         start = time.perf_counter()
         verdict = solver.solve()

@@ -316,21 +316,12 @@ class EtcsEncoding:
                 for t in range(self.t_max):
                     self.emit_separation_pair(i, j, t)
 
-    def emit_separation_pair(
-        self,
-        i: int,
-        j: int,
-        t: int,
-        add: Callable[[list[int]], None] | None = None,
-    ) -> int:
+    def emit_separation_pair(self, i: int, j: int, t: int) -> int:
         """VSS-separation clauses for the pair ``(i, j)`` at step ``t``.
 
-        ``add`` overrides the clause sink (default: this encoding's CNF);
-        a no-op sink turns the emitter into a pure counter, which is how
-        :meth:`deferred_eager_count` prices the clauses lazy runs avoid.
         Returns the number of clauses emitted.
         """
-        sink = self.cnf.add if add is None else add
+        sink = self.cnf.add
         possible_i = self.cone.at(i, t)
         possible_j = self.cone.at(j, t)
         if not possible_i or not possible_j:
@@ -367,24 +358,17 @@ class EtcsEncoding:
                 for j in range(len(self.runs)):
                     self.emit_collision_pair(i, j, t)
 
-    def emit_collision_pair(
-        self,
-        i: int,
-        j: int,
-        t: int,
-        add: Callable[[list[int]], None] | None = None,
-    ) -> int:
+    def emit_collision_pair(self, i: int, j: int, t: int) -> int:
         """No-passing clauses for mover ``i`` vs train ``j`` over ``t``.
 
         Covers train ``i``'s moves from ``t`` to ``t + 1``: train ``j``
         may not sit on the traversed interior at either endpoint step.
-        Returns the number of clauses emitted (see
-        :meth:`emit_separation_pair` for the ``add`` sink contract).
+        Returns the number of clauses emitted.
         """
         run_i = self.runs[i]
         if j == i or not run_i.departure_step <= t < self.t_max - 1:
             return 0
-        sink = self.cnf.add if add is None else add
+        sink = self.cnf.add
         reach = self._reach(run_i.speed_segments)
         max_edges = run_i.speed_segments + 1
         possible_now = self.cone.at(i, t)
@@ -431,21 +415,14 @@ class EtcsEncoding:
                 for t in range(self.t_max - 1):
                     self.emit_swap_pair(i, j, t)
 
-    def emit_swap_pair(
-        self,
-        i: int,
-        j: int,
-        t: int,
-        add: Callable[[list[int]], None] | None = None,
-    ) -> int:
+    def emit_swap_pair(self, i: int, j: int, t: int) -> int:
         """Position-swap blocking for the pair ``i < j`` across step ``t``.
 
-        Returns the number of clauses emitted (see
-        :meth:`emit_separation_pair` for the ``add`` sink contract).
+        Returns the number of clauses emitted.
         """
         if not 0 <= t < self.t_max - 1:
             return 0
-        sink = self.cnf.add if add is None else add
+        sink = self.cnf.add
         reach = self._reach(
             min(self.runs[i].speed_segments, self.runs[j].speed_segments)
         )
@@ -649,41 +626,105 @@ class EtcsEncoding:
     def deferred_eager_count(self) -> dict[str, int]:
         """Clauses each *deferred* family would have emitted eagerly.
 
-        Walks the family loops with a counting sink (no clause is
-        created); the lazy loop reports ``lazy.clauses_saved`` against
-        these totals.  Cached — the cone/TTD queries dominate the cost.
+        Counted from the cone by set arithmetic, without building or
+        walking a clause; the lazy loop reports ``lazy.clauses_saved``
+        against these totals.  Cached.
         """
         if self._deferred_count is None:
-
-            def noop(clause: list[int]) -> None:
-                pass
-
-            counts: dict[str, int] = {}
-            n = len(self.runs)
-            for family in self.deferred_families:
-                if family == "separation":
-                    counts[family] = sum(
-                        self.emit_separation_pair(i, j, t, add=noop)
-                        for i in range(n)
-                        for j in range(i + 1, n)
-                        for t in range(self.t_max)
-                    )
-                elif family == "collision":
-                    counts[family] = sum(
-                        self.emit_collision_pair(i, j, t, add=noop)
-                        for i in range(n)
-                        for t in range(self.t_max)
-                        for j in range(n)
-                    )
-                elif family == "swap":
-                    counts[family] = sum(
-                        self.emit_swap_pair(i, j, t, add=noop)
-                        for i in range(n)
-                        for j in range(i + 1, n)
-                        for t in range(self.t_max)
-                    )
-            self._deferred_count = counts
+            counters = {
+                "separation": self._count_separation,
+                "collision": self._count_collision,
+                "swap": self._count_swap,
+            }
+            self._deferred_count = {
+                family: counters[family]()
+                for family in self.deferred_families
+            }
         return dict(self._deferred_count)
+
+    def _count_separation(self) -> int:
+        """One clause per pair of same-TTD positions of two trains: the
+        dot product of their per-TTD position counts at each step."""
+        ttd_of = self.net.ttd_of
+        total = 0
+        for t in range(self.t_max):
+            per_train: list[dict[str, int]] = []
+            for i in range(len(self.runs)):
+                counts: dict[str, int] = {}
+                for e in self.cone.at(i, t):
+                    ttd = ttd_of[e]
+                    counts[ttd] = counts.get(ttd, 0) + 1
+                if counts:
+                    per_train.append(counts)
+            for a, counts_a in enumerate(per_train):
+                for counts_b in per_train[a + 1:]:
+                    total += sum(
+                        count * counts_b.get(ttd, 0)
+                        for ttd, count in counts_a.items()
+                    )
+        return total
+
+    def _count_collision(self) -> int:
+        """Per mover and step, how many moves traverse each interior
+        segment; each bystander position at either end step of the move
+        on such a segment is one clause.
+
+        Queries :meth:`_interiors` exactly where and in the order
+        :meth:`_collision_constraints` would, because its cache holds
+        whichever direction of a segment pair it meets first.
+        """
+        n = len(self.runs)
+        total = 0
+        for i, run_i in enumerate(self.runs):
+            reach = self._reach(run_i.speed_segments)
+            max_edges = run_i.speed_segments + 1
+            for t in range(run_i.departure_step, self.t_max - 1):
+                others = [
+                    (self.cone.at(j, t), self.cone.at(j, t + 1))
+                    for j in range(n)
+                    if j != i
+                    and (self.cone.at(j, t) or self.cone.at(j, t + 1))
+                ]
+                if not others:
+                    continue
+                possible_next = self.cone.at(i, t + 1)
+                traversed: dict[int, int] = {}
+                for e in self.cone.at(i, t):
+                    for f in reach[e]:
+                        if f == e or f not in possible_next:
+                            continue
+                        for g in self._interiors(e, f, max_edges):
+                            traversed[g] = traversed.get(g, 0) + 1
+                for other_now, other_next in others:
+                    for g, moves in traversed.items():
+                        if g in other_now:
+                            total += moves
+                        if g in other_next:
+                            total += moves
+        return total
+
+    def _count_swap(self) -> int:
+        """One clause per move ``e -> f`` of train ``i`` whose reverse
+        ``f -> e`` train ``j`` can make across the same step."""
+        n = len(self.runs)
+        total = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                reach = self._reach(
+                    min(self.runs[i].speed_segments,
+                        self.runs[j].speed_segments)
+                )
+                for t in range(self.t_max - 1):
+                    pi_now = self.cone.at(i, t)
+                    pj_now = self.cone.at(j, t)
+                    if not pi_now or not pj_now:
+                        continue
+                    targets = self.cone.at(i, t + 1) & pj_now
+                    for e in pi_now & self.cone.at(j, t + 1):
+                        total += len(targets.intersection(reach[e]))
+                        if e in targets:
+                            total -= 1  # reach[e] holds e: no move
+        return total
 
     def paper_equivalent_vars(self) -> int:
         """The paper's Table I "Var." count: borders + dense occupies grid."""

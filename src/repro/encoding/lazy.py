@@ -253,12 +253,12 @@ class LazyRefiner:
         )
         return added
 
-    def stats(self, include_saved: bool = True) -> dict:
+    def stats(self) -> dict:
         """``lazy.*`` metric payload (see doc/architecture.md §7).
 
-        ``include_saved`` prices the avoided clauses via
-        :meth:`EtcsEncoding.deferred_eager_count` — a full counting walk
-        of the deferred families, so callers on a hot path may skip it.
+        The avoided clauses are priced by
+        :meth:`EtcsEncoding.deferred_eager_count`, which counts them from
+        the cone without emitting any.
         """
         out = {
             "lazy.rounds": self.rounds,
@@ -267,11 +267,10 @@ class LazyRefiner:
         }
         for family, count in sorted(self.violations.items()):
             out[f"lazy.violations.{family}"] = count
-        if include_saved:
-            eager = self.encoding.deferred_eager_count()
-            total = sum(eager.values())
-            out["lazy.eager_clauses"] = total
-            out["lazy.clauses_saved"] = total - self.clauses_added
+        eager = self.encoding.deferred_eager_count()
+        total = sum(eager.values())
+        out["lazy.eager_clauses"] = total
+        out["lazy.clauses_saved"] = total - self.clauses_added
         return out
 
 
@@ -330,8 +329,8 @@ def _lazy_serial_loop(
     shipped = 0
     calls = 0
     while True:
-        for clause in cnf.clauses[shipped:]:
-            solver.add_clause(clause)
+        with trace.span("load", clauses=len(cnf.clauses) - shipped):
+            solver.add_clauses(cnf.clauses[shipped:])
         shipped = len(cnf.clauses)
         calls += 1
         with trace.span("lazy.solve", call=calls):

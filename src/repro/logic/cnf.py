@@ -93,7 +93,7 @@ class CNF:
     def add(self, clause: Iterable[int]) -> None:
         """Add one clause (an iterable of non-zero literals)."""
         lits = list(clause)
-        if any(lit == 0 for lit in lits):
+        if 0 in lits:
             raise ValueError(f"clause contains literal 0: {lits}")
         self.clauses.append(lits)
 
@@ -116,8 +116,7 @@ class CNF:
         """Load all clauses into a solver (a fresh one by default)."""
         solver = solver if solver is not None else Solver()
         solver.ensure_var(max(self.num_vars, 1))
-        for clause in self.clauses:
-            solver.add_clause(clause)
+        solver.add_clauses(self.clauses)
         return solver
 
     def literals_size(self) -> int:

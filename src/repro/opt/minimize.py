@@ -332,7 +332,8 @@ def _minimize_sum_serial(
     warm: CheckpointState | None = None,
 ) -> DescentResult:
     """The serial incremental descent (one solver, bounds as assumptions)."""
-    solver = cnf.to_solver(solver)
+    with trace.span("load", clauses=len(cnf.clauses)):
+        solver = cnf.to_solver(solver)
     progress = obs_events.progress_callback()
     if progress is not None:
         solver.on_progress(progress)
@@ -347,8 +348,8 @@ def _minimize_sum_serial(
         """Feed clauses appended to the CNF (totalizer layers, lazy
         refinements) into the incremental solver."""
         nonlocal shipped
-        for clause in cnf.clauses[shipped:]:
-            solver.add_clause(clause)
+        with trace.span("load", clauses=len(cnf.clauses) - shipped):
+            solver.add_clauses(cnf.clauses[shipped:])
         shipped = len(cnf.clauses)
 
     def arm(per_probe_s: float | None = None) -> bool:

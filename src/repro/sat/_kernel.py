@@ -23,7 +23,12 @@ arrays instead of an object graph:
   two-branch dance.
 * **VSIDS heap** — the order heap is a ``heapq`` of ``(-activity,
   var)`` tuples: the C-accelerated stdlib heap beats any pure-Python
-  rearrangement by an order of magnitude.
+  rearrangement by an order of magnitude.  Bumps leave stale entries
+  behind instead of re-keying them, so ``_heap_act[var]`` records the
+  activity of the variable's *live* entry (``-1.0`` when it has none):
+  backtracking pushes a variable only when that entry is missing or
+  stale, which keeps one live entry per variable and the decision order
+  of a heap that re-pushes every unassigned variable.
 
 The algorithms are two-watched-literal propagation, first-UIP analysis
 with recursive minimization, EVSIDS, phase saving, Luby restarts,
@@ -122,10 +127,12 @@ class Kernel:
         self._qhead: int = 0
 
         # Activity bookkeeping; the order heap holds (-activity, var)
-        # tuples.
+        # tuples, and _heap_act[var] the activity of var's live entry
+        # (-1.0: none).
         self._var_inc: float = 1.0
         self._cla_inc: float = 1.0
         self._order_heap: list[tuple[float, int]] = []
+        self._heap_act: list[float] = [-1.0]
 
         self._ok: bool = True
         self._solve_started: float = 0.0
@@ -170,6 +177,7 @@ class Kernel:
         self._activity.append(0.0)
         self._saved_phase.append(1 if self.config.default_phase else 0)
         self._seen.append(0)
+        self._heap_act.append(0.0)
         heapq.heappush(self._order_heap, (0.0, var))
         return var
 
@@ -195,47 +203,92 @@ class Kernel:
         self._off = new_cap
 
     def add_clause(self, lits: Any) -> bool:
+        return self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Any) -> bool:
+        """Load ``clauses`` in order; return False once the formula is
+        UNSAT (later clauses are then ignored).
+
+        One call loads a whole clause list with the result of adding each
+        clause on its own: every literal is checked, variables grow as
+        literals name them, tautologies, duplicate literals and clauses
+        satisfied at level 0 are dropped, falsified literals removed, and
+        a unit propagates before the next clause is read.  An empty
+        clause, or a unit that propagates to a conflict, logs the empty
+        clause to an attached proof.
+        """
         if not self._ok:
             return False
         self._backtrack(0)
         assigns = self._assigns
+        watches = self._watches
         off = self._off
-
-        simplified: list[int] = []
-        seen_here: set[int] = set()
-        for lit in lits:
-            if not isinstance(lit, int) or lit == 0:
-                raise InvalidLiteralError(f"invalid literal {lit!r}")
-            self.ensure_var(lit if lit > 0 else -lit)
-            if assigns is not self._assigns:  # _grow replaced the array
-                assigns = self._assigns
-                off = self._off
-            if -lit in seen_here:
-                return True  # tautology
-            if lit in seen_here:
+        nv = self._nv
+        # Clause-local polarity marks (1 positive, 2 negative) in the
+        # analysis scratch array, which is all zero outside a search.
+        marks = self._seen
+        arena = self._arena
+        clause_refs = self._clause_refs
+        for lits in clauses:
+            simplified: list[int] = []
+            keep = True
+            for lit in lits:
+                if not isinstance(lit, int) or lit == 0:
+                    for kept in simplified:
+                        marks[kept if kept > 0 else -kept] = 0
+                    raise InvalidLiteralError(f"invalid literal {lit!r}")
+                var = lit if lit > 0 else -lit
+                if var > nv:
+                    self.ensure_var(var)
+                    nv = var
+                    assigns = self._assigns
+                    watches = self._watches
+                    off = self._off
+                mark = marks[var]
+                if mark:
+                    if (mark == 1) == (lit > 0):
+                        continue  # duplicate literal
+                    keep = False  # tautology
+                    break
+                value = assigns[off + lit]
+                if value == 1:
+                    keep = False  # satisfied at level 0
+                    break
+                if value == 0:
+                    marks[var] = 1 if lit > 0 else 2
+                    simplified.append(lit)
+            for kept in simplified:
+                marks[kept if kept > 0 else -kept] = 0
+            if not keep:
                 continue
-            value = assigns[off + lit]
-            if value == 1:
-                return True  # satisfied at level 0
-            if value == -1:
-                continue  # falsified at level 0
-            seen_here.add(lit)
-            simplified.append(lit)
-
-        if not simplified:
-            self._ok = False
-            if self._proof is not None:
-                self._proof.add([])
-            return False
-        if len(simplified) == 1:
-            self._enqueue(simplified[0], -1)
-            self._ok = self._propagate() < 0
-            if not self._ok and self._proof is not None:
-                self._proof.add([])
-            return self._ok
-        ref = self._store(simplified, False, 0)
-        self._clause_refs.append(ref)
-        self._attach(ref)
+            size = len(simplified)
+            if size == 0:
+                self._ok = False
+                if self._proof is not None:
+                    self._proof.add([])
+                return False
+            lit0 = simplified[0]
+            if size == 1:
+                self._enqueue(lit0, -1)
+                if self._propagate() >= 0:
+                    self._ok = False
+                    if self._proof is not None:
+                        self._proof.add([])
+                    return False
+                continue
+            lit1 = simplified[1]
+            ref = len(arena)
+            arena.append(size)
+            arena.append(-1)
+            arena.extend(simplified)
+            clause_refs.append(ref)
+            tagged = ref << 1 | (1 if size == 2 else 0)
+            watchers = watches[off + lit0]
+            watchers.append(tagged)
+            watchers.append(lit1)
+            watchers = watches[off + lit1]
+            watchers.append(tagged)
+            watchers.append(lit0)
         return True
 
     def solve(self, assumptions: Any = ()) -> SolveResult:
@@ -393,17 +446,18 @@ class Kernel:
     # Internal: arena and watches
     # ------------------------------------------------------------------
 
-    def _store(self, lits: list[int], learned: bool, lbd: int) -> int:
+    def _store_learned(self, lits: list[int], lbd: int) -> int:
+        """Append a learned clause to the arena; return its ref.
+
+        (``add_clauses`` stores problem clauses inline, meta ``-1``.)
+        """
         arena = self._arena
         ref = len(arena)
+        meta = len(self._cla_act)
+        self._cla_act.append(0.0)
+        self._cla_lbd.append(lbd)
         arena.append(len(lits))
-        if learned:
-            meta = len(self._cla_act)
-            self._cla_act.append(0.0)
-            self._cla_lbd.append(lbd)
-            arena.append(meta)
-        else:
-            arena.append(-1)
+        arena.append(meta)
         arena.extend(lits)
         return ref
 
@@ -442,6 +496,7 @@ class Kernel:
         saved_phase = self._saved_phase
         reason = self._reason
         activity = self._activity
+        heap_act = self._heap_act
         trail = self._trail
         heap = self._order_heap
         heappush = heapq.heappush
@@ -454,7 +509,11 @@ class Kernel:
             assigns[off + lit] = 0
             assigns[off - lit] = 0
             reason[var] = -1
-            heappush(heap, (-activity[var], var))
+            act = activity[var]
+            if heap_act[var] != act:
+                # No live entry, or a bump made it stale.
+                heap_act[var] = act
+                heappush(heap, (-act, var))
         del trail[boundary:]
         del self._trail_lim[target_level:]
         self._qhead = boundary
@@ -468,12 +527,16 @@ class Kernel:
         assigns = self._assigns
         off = self._off
         activity = self._activity
-        self._order_heap = [
-            (-activity[var], var)
-            for var in range(1, self._nv + 1)
-            if assigns[off + var] == 0
-        ]
-        heapq.heapify(self._order_heap)
+        heap_act = self._heap_act
+        heap: list[tuple[float, int]] = []
+        for var in range(1, self._nv + 1):
+            if assigns[off + var] == 0:
+                heap_act[var] = activity[var]
+                heap.append((-activity[var], var))
+            else:
+                heap_act[var] = -1.0
+        heapq.heapify(heap)
+        self._order_heap = heap
 
     # ------------------------------------------------------------------
     # Internal: propagation
@@ -844,13 +907,16 @@ class Kernel:
                 return var
         if config.use_vsids:
             activity = self._activity
+            heap_act = self._heap_act
             heap = self._order_heap
             heappop = heapq.heappop
             while heap:
                 neg_activity, var = heappop(heap)
-                if (assigns[off + var] == 0
-                        and -neg_activity == activity[var]):
-                    return var
+                if -neg_activity == activity[var]:
+                    # The live entry: gone from the heap either way.
+                    heap_act[var] = -1.0
+                    if assigns[off + var] == 0:
+                        return var
             return 0
         for var in range(1, self._nv + 1):
             if assigns[off + var] == 0:
@@ -986,7 +1052,7 @@ class Kernel:
                 if len(learned) == 1:
                     self._enqueue(learned[0], -1)
                 else:
-                    ref = self._store(learned, True, lbd)
+                    ref = self._store_learned(learned, lbd)
                     self._learned_refs.append(ref)
                     self._attach(ref)
                     self._bump_clause(self._arena[ref + 1])

@@ -300,8 +300,7 @@ def _run_member(
                 work, __ = simplify_clauses(clauses)
         solver.ensure_var(max(num_vars, 1))
         with trace.span("load", clauses=len(work)):
-            for clause in work:
-                solver.add_clause(clause)
+            solver.add_clauses(work)
         with trace.span("solve"):
             verdict = solver.solve(list(assumptions))
         span.add(verdict=verdict.value)

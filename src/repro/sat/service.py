@@ -158,8 +158,7 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
         solver.ensure_var(max(num_vars, 1))
         with trace.span("service.load", member=member.name,
                         clauses=len(clauses)):
-            for clause in clauses:
-                solver.add_clause(clause)
+            solver.add_clauses(clauses)
     except BaseException as exc:  # noqa: BLE001 — report, never hang parent
         try:
             conn.send({"index": index, "probe": 0,
@@ -210,8 +209,7 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             # (:mod:`repro.sat.wire`) — one pickled blob per probe
             # instead of one object per literal.
             delta = unpack_clauses(delta_buf)
-            for clause in delta:
-                solver.add_clause(clause)
+            solver.add_clauses(delta)
             imported = solver.import_clauses(unpack_clauses(imports_buf))
             # The parent ships the probe's *remaining* wall budget; the
             # solver then gives up cooperatively even on searches that

@@ -120,11 +120,17 @@ class Solver:
         return self._k.add_clause(lits)
 
     def add_clauses(self, clauses) -> bool:
-        """Add many clauses; return False if the formula became UNSAT."""
-        ok = True
-        for lits in clauses:
-            ok = self.add_clause(lits) and ok
-        return ok
+        """Add many clauses in one kernel call; return False if the
+        formula is now trivially UNSAT.
+
+        The result is that of calling :meth:`add_clause` on each clause
+        in order — the same checks, simplification, level-0 unit
+        propagation and proof logging — but the kernel backtracks once
+        and pays no per-clause call overhead, so this is the load path
+        for whole formulas and clause deltas.  Clauses after the one that
+        makes the formula UNSAT are ignored.
+        """
+        return self._k.add_clauses(clauses)
 
     def import_clauses(self, clauses) -> int:
         """Add clauses learned elsewhere on the same formula.

@@ -58,8 +58,9 @@ class LayoutExplorer:
         """
         # New clauses may have been appended to the shared CNF (e.g. by a
         # totalizer elsewhere); keep the solver in sync.
-        for clause in self._encoding.cnf.clauses[self._num_base_clauses:]:
-            self._solver.add_clause(clause)
+        self._solver.add_clauses(
+            self._encoding.cnf.clauses[self._num_base_clauses:]
+        )
         self._num_base_clauses = self._encoding.cnf.num_clauses
 
         self.queries += 1

@@ -228,10 +228,10 @@ def verify_schedule(
                 logger = ProofLogger()
                 solver.attach_proof(logger)
             attach_progress(solver)
-            with trace.span("solve"):
+            with trace.span("load", clauses=len(clauses)):
                 solver.ensure_var(max(encoding.cnf.num_vars, 1))
-                for clause in clauses:
-                    solver.add_clause(clause)
+                solver.add_clauses(clauses)
+            with trace.span("solve"):
                 verdict = solver.solve()
             satisfiable = bool(verdict)
             proof_checked = None

@@ -1,19 +1,25 @@
 """Lazy (CEGAR) constraint generation: unit and integration tests.
 
-Covers the deferred build, the emit/count parity between the lazy pair
-emitters and the eager families, the refinement loop itself, the task
-plumbing (defaults, proof forcing eager, metrics keys), and the
-parallel service path's verdict agreement.
+Covers the deferred build, the pricing of the deferred families against
+the eager families, the refinement loop itself, the task plumbing
+(defaults, proof forcing eager, metrics keys), the parallel service
+path's verdict agreement, and a known defect in the interior cache
+(expected failures).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.encoding.encoder import LAZY_FAMILIES
+from repro.casestudies import all_case_studies
+from repro.encoding.encoder import LAZY_FAMILIES, EncodingOptions
 from repro.encoding.lazy import LazyRefiner, solve_lazy_verification
+from repro.explicit import explicit_verify
+from repro.network.paths import interior_segments_of_paths
 from repro.network.sections import VSSLayout
 from repro.sat.portfolio import fork_available
+from repro.scenarios import ScenarioSpec, generate_scenario, with_headroom
+from repro.scenarios.fuzz import fuzz_scenario
 from repro.tasks import generate_layout, verify_schedule
 from repro.tasks.common import build_encoding
 
@@ -50,7 +56,7 @@ class TestLazyBuild:
     def test_deferred_count_matches_eager_family_stats(
         self, micro_net, crossing_schedule
     ):
-        """The counting walk prices exactly what eager would emit."""
+        """The pricing counts exactly what eager would emit."""
         eager, lazy = _encodings(micro_net, crossing_schedule, 0.5)
         counts = lazy.deferred_eager_count()
         assert set(counts) == set(LAZY_FAMILIES)
@@ -62,6 +68,80 @@ class TestLazyBuild:
         eager, _ = _encodings(micro_net, crossing_schedule, 0.5)
         with pytest.raises(ValueError):
             LazyRefiner(eager)
+
+
+def _assert_priced(net, schedule, r_t_min, options):
+    """deferred_eager_count() equals the clauses eager emits per family."""
+    eager = build_encoding(net, schedule, r_t_min, options, lazy=False)
+    lazy = build_encoding(net, schedule, r_t_min, options, lazy=True)
+    assert lazy.deferred_eager_count() == {
+        family: eager.family_stats[family]["clauses"]
+        for family in lazy.deferred_families
+    }
+
+
+class TestDeferredPricing:
+    """The set-arithmetic pricing against the eager emitters' counts."""
+
+    @pytest.mark.parametrize("guarded", [False, True])
+    @pytest.mark.parametrize("index", range(4))
+    def test_case_studies(self, index, guarded):
+        study = all_case_studies()[index]
+        _assert_priced(study.discretize(), study.schedule, study.r_t_min,
+                       EncodingOptions(guarded_arrivals=guarded))
+
+    @pytest.mark.parametrize("index", range(25))
+    def test_fuzz_scenarios(self, index):
+        scenario = fuzz_scenario(run_seed=8, index=index)
+        net = scenario.discretize()
+        for guarded in (False, True):
+            _assert_priced(net, scenario.schedule, scenario.r_t_min,
+                           EncodingOptions(guarded_arrivals=guarded))
+
+
+def _headroom_zero_case():
+    """Three trains, two corridor tracks, no slack: infeasible, yet the
+    default lazy path answers SAT on it."""
+    return with_headroom(generate_scenario(ScenarioSpec(
+        seed=727627530, loops=1, corridor_tracks=2, spur_probability=0.0,
+        trains=3,
+    )), 0)
+
+
+class TestInteriorCacheOrder:
+    """Known defect: ``EtcsEncoding._interiors`` stores the interiors of
+    ``e -> f`` under ``f -> e`` too, but the paths between two segments
+    are not symmetric, so the collision clauses depend on which
+    direction is queried first."""
+
+    @pytest.mark.xfail(strict=True, reason="interior cache ignores the "
+                       "direction of a move")
+    def test_cache_is_order_independent(self):
+        scenario = _headroom_zero_case()
+        net = scenario.discretize()
+        encoding = build_encoding(net, scenario.schedule, scenario.r_t_min,
+                                  None, lazy=True)
+        for run in encoding.runs:
+            reach = encoding._reach(run.speed_segments)
+            max_edges = run.speed_segments + 1
+            for e in range(net.num_segments):
+                for f in reach[e]:
+                    if f == e:
+                        continue
+                    encoding._interiors(f, e, max_edges)
+                    assert encoding._interiors(e, f, max_edges) == frozenset(
+                        interior_segments_of_paths(net, e, f, max_edges)
+                    ), (e, f)
+
+    @pytest.mark.xfail(strict=True, reason="lazy verification misses "
+                       "collision clauses the cache order drops")
+    def test_lazy_verdict_matches_eager_and_explicit(self):
+        scenario = _headroom_zero_case()
+        net = scenario.discretize()
+        args = (net, scenario.schedule, scenario.r_t_min)
+        eager = verify_schedule(*args, lazy=False).satisfiable
+        assert explicit_verify(*args) == eager
+        assert verify_schedule(*args).satisfiable == eager
 
 
 class TestLazyVerificationLoop:

@@ -16,6 +16,11 @@ models, cores, search counters and proof logs.  On a compiled host that
 compares the mypyc extension with ``_kernel.py``; on an interpreted host
 both sides run the same module, which checks that the search is
 deterministic.
+
+Two overhead-only paths are held to the same standard: one
+``add_clauses`` call must have the effect of one ``add_clause`` per
+clause, and the heap that keeps one live entry per variable must search
+the tree of a heap that re-pushes every unassigned variable.
 """
 
 from __future__ import annotations
@@ -28,18 +33,19 @@ from hypothesis import given, settings, strategies as st
 from repro.sat.kernel import kernel_build, load_interpreted
 from repro.sat.proof import ProofLogger, check_rup_proof
 from repro.sat.solver import Solver
-from repro.sat.types import SolveResult, SolverConfig
+from repro.sat.types import InvalidLiteralError, SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
 
 KERNEL_KIND = kernel_build()  # "compiled" where the mypyc build is installed
 
 
-def _pair(**config):
-    """The build's solver and an interpreted-source kernel, both logging
-    proofs, with identical configuration."""
+def _pair(reference=None, **config):
+    """The build's solver and an interpreted-source kernel (or
+    ``reference``), both logging proofs, with identical configuration."""
+    reference = reference or load_interpreted().Kernel
     pair = (
         Solver(SolverConfig(**config)),
-        load_interpreted().Kernel(SolverConfig(**config)),
+        reference(SolverConfig(**config)),
     )
     loggers = (ProofLogger(), ProofLogger())
     for engine, logger in zip(pair, loggers):
@@ -101,8 +107,9 @@ def _certify(solver, verdict, logger, cnf, assumptions=()):
     assert _refutes(num_vars, list(cnf) + [[lit] for lit in core])
 
 
-def _assert_lockstep(cnf, assumption_rounds=((),), **config):
-    (solver, source), loggers = _pair(**config)
+def _assert_lockstep(cnf, assumption_rounds=((),), reference=None,
+                     **config):
+    (solver, source), loggers = _pair(reference, **config)
     assert solver.kernel == KERNEL_KIND
     assert source.kind == "interpreted"
     for engine in (solver, source):
@@ -185,6 +192,171 @@ class TestLockstepProperties:
              "learned_clause_min_limit": 5},
         ):
             _assert_lockstep(cnf, **config)
+
+
+def _load_both(clauses, prefix=(), reserve=0, **config):
+    """Two logging solvers given the same formula: one bulk-loads
+    ``clauses`` in one ``add_clauses`` call, one adds them one by one.
+
+    ``prefix`` is solved first, so the load meets learned clauses and
+    level-0 facts; ``reserve`` pre-creates variables, so clauses can
+    name variables both below and above ``num_vars``.
+    """
+    engines = (Solver(SolverConfig(**config)), Solver(SolverConfig(**config)))
+    loggers = (ProofLogger(), ProofLogger())
+    returns = []
+    for engine, logger, bulk in zip(engines, loggers, (True, False)):
+        engine.attach_proof(logger)
+        if reserve:
+            engine.ensure_var(reserve)
+        if prefix:
+            engine.add_clauses([list(lits) for lits in prefix])
+            engine.solve()
+        if bulk:
+            returns.append(
+                engine.add_clauses([list(lits) for lits in clauses])
+            )
+        else:
+            for lits in clauses:
+                ok = engine.add_clause(list(lits))
+            returns.append(ok)
+    return engines, loggers, returns
+
+
+def _load_state(engine, logger):
+    return (engine.num_vars, engine.num_clauses, engine.root_literals(),
+            list(logger.steps))
+
+
+bulk_batches = st.tuples(
+    # Units propagate mid-batch and fix literals later clauses mention;
+    # short clauses over few variables repeat and negate literals, and
+    # the odd variable past 16 grows the literal arrays mid-batch.
+    st.lists(st.lists(st.integers(-14, 14).filter(bool), min_size=1,
+                      max_size=5), max_size=40),
+    st.lists(st.lists(st.integers(-14, 14).filter(bool)
+                      | st.integers(-70, 70).filter(bool),
+                      min_size=1, max_size=3), min_size=1, max_size=60),
+    st.none() | st.integers(0, 60),  # where an empty clause goes
+    st.integers(0, 10),  # variables created before the load
+    st.lists(st.integers(-14, 14).filter(bool), max_size=3),
+)
+
+
+class TestBulkLoad:
+    """``add_clauses`` has the effect of one ``add_clause`` per clause."""
+
+    @given(bulk_batches)
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_matches_per_clause(self, batch):
+        prefix, clauses, empty_at, reserve, assumptions = batch
+        clauses = [list(lits) for lits in clauses]
+        if empty_at is not None:
+            clauses.insert(min(empty_at, len(clauses)), [])
+        (bulk, single), loggers, returns = _load_both(
+            clauses, prefix=prefix, reserve=reserve, random_var_freq=0.05,
+            random_seed=11,
+        )
+        assert returns[0] == returns[1]
+        assert _load_state(bulk, loggers[0]) == _load_state(
+            single, loggers[1])
+        for round_assumptions in (assumptions, ()):
+            verdicts = [engine.solve(list(round_assumptions))
+                        for engine in (bulk, single)]
+            assert _fingerprint(bulk, verdicts[0], loggers[0]) == (
+                _fingerprint(single, verdicts[1], loggers[1])
+            )
+            _certify(bulk, verdicts[0], loggers[0],
+                     list(prefix) + clauses, round_assumptions)
+
+    def test_variables_grow_as_literals_are_read(self):
+        solver = Solver()
+        solver.ensure_var(3)
+        # The clause satisfied by the fact 1 stops growing at literal 1,
+        # exactly as a clause added alone does; 40 arrives later.
+        assert solver.add_clauses([[1], [1, 25], [2, 40, -2], [5, 6, 5]])
+        assert solver.num_vars == 40
+        assert solver.num_clauses == 1
+        assert solver.root_literals() == [1]
+
+    @pytest.mark.parametrize("bad", [0, 1.0, "2", None, [3]])
+    def test_invalid_literals_raise(self, bad):
+        for load in ("bulk", "single"):
+            solver = Solver()
+            with pytest.raises(InvalidLiteralError):
+                if load == "bulk":
+                    solver.add_clauses([[1, 2], [3, bad, 4]])
+                else:
+                    solver.add_clause([1, 2])
+                    solver.add_clause([3, bad, 4])
+            # The valid clause before it stays; the partial one is gone
+            # and leaves no marks behind: -3 is a unit, not a tautology.
+            assert solver.num_clauses == 1
+            assert solver.num_vars == 3
+            assert solver.add_clauses([[-3]])
+            assert solver.root_literals() == [-3]
+
+    def test_unsat_batch_stops_loading(self):
+        solver = Solver()
+        logger = ProofLogger()
+        solver.attach_proof(logger)
+        assert not solver.add_clauses([[1, 2], [-1], [-2], [7, 8], [0]])
+        # The conflicting unit ended the load: nothing after it was read.
+        assert solver.num_vars == 2
+        assert logger.steps == [("a", ())]
+        assert not solver.add_clauses([[3]])
+        assert solver.solve() is SolveResult.UNSAT
+
+
+class _RepushKernel(load_interpreted().Kernel):
+    """The interpreted kernel with the heap policy that predates live
+    entries: every backtrack re-pushes each variable it unassigns, live
+    heap entry or not.  The reference for the decision order."""
+
+    def _backtrack(self, target_level: int) -> None:
+        if len(self._trail_lim) > target_level:
+            for lit in self._trail[self._trail_lim[target_level]:]:
+                self._heap_act[abs(lit)] = -1.0
+        super()._backtrack(target_level)
+
+
+def _pigeonhole(pigeons: int) -> list[list[int]]:
+    """``pigeons`` pigeons in one hole fewer: UNSAT after many
+    conflicts."""
+    holes = pigeons - 1
+
+    def var(i, j):
+        return i * holes + j + 1
+
+    cnf = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for a in range(pigeons):
+            for b in range(a + 1, pigeons):
+                cnf.append([-var(a, j), -var(b, j)])
+    return cnf
+
+
+class TestLiveHeapEntry:
+    """One live heap entry per variable searches the tree of a heap that
+    re-pushes every unassigned variable: same counters, models, cores
+    and proof logs."""
+
+    @given(clauses_strategy, st.lists(st.integers(-25, 25).filter(bool),
+                                      max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_random_cnfs(self, cnf, assumptions):
+        _assert_lockstep(cnf, assumption_rounds=(assumptions, ()),
+                         reference=_RepushKernel)
+
+    @pytest.mark.parametrize("config", [
+        {},
+        # Fast decay rescales the activities (and rebuilds the heap)
+        # every few hundred conflicts.
+        {"var_decay": 0.5},
+        {"random_var_freq": 0.05},
+    ])
+    def test_pigeonhole(self, config):
+        _assert_lockstep(_pigeonhole(7), reference=_RepushKernel, **config)
 
 
 class TestLockstepFuzzScenarios:
