@@ -66,8 +66,9 @@ bench-portfolio:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_portfolio.py \
 		--benchmark-only -q
 
-# One-shot vs persistent-incremental descent on the running example;
-# writes the perf-trajectory data point BENCH_descent.json.
+# Solver-service vs serial descent on the running example (same search,
+# both wall times); writes the perf-trajectory data point
+# BENCH_descent.json.
 bench-descent:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_descent.py \
 		--out BENCH_descent.json

@@ -1,27 +1,24 @@
-"""One-shot vs persistent-incremental parallel descent (perf trajectory).
+"""Service vs serial descent on the running example (perf trajectory).
 
 Runs the running example's generation and optimization descents at
-``parallel=4`` twice — once on the one-shot portfolio (fresh fork +
-full clause reload per bound probe) and once on the resident incremental
-solver service (CNF shipped once, probes send assumptions + clause
-deltas, learned clauses kept and shared) — and records wall time,
-probes/s, and the clauses-shipped economics under stable ``bench.*``
-keys.
+``parallel=1`` (one in-process incremental solver) and at
+``parallel=PROCESSES`` (the resident solver service: the CNF reaches the
+workers once per descent through ``fork``, probes send assumptions plus
+clause deltas, learned clauses are kept and shared).  Both settings run
+the same descent loop, and the service's primary member walks the
+serial search, so the benchmark asserts equal verdicts, optima,
+optimality proofs and linear-descent probe counts.  It records both wall
+times, their ratio and the clauses-shipped economics of the service
+under stable ``bench.*`` keys.
 
-Why the service wins even on a single core: the one-shot path pays
-``processes × (fork + clause load + cold search)`` on *every* probe,
-while the service pays the fork/load once per descent and every warm
-probe resumes a solver that already holds the learned clauses, VSIDS
-activities, and saved phases of the previous bounds — the same
-incremental advantage the serial descent enjoys, plus the race.
+The ratio is recorded, never gated: it is a parallel speedup only on a
+host with more than ``PROCESSES`` CPUs (``bench.host_cpus``); on one or
+two CPUs it prices the race's fork and IPC overhead instead.
 
-Run via ``make bench-descent`` (writes ``BENCH_descent.json``, the perf
-trajectory's first data point) or directly::
+Run via ``make bench-descent`` (writes ``BENCH_descent.json`` and
+appends a ``BENCH_HISTORY.jsonl`` record) or directly::
 
     PYTHONPATH=src python benchmarks/bench_descent.py --out out.json
-
-The verdict/objective agreement between the engines is asserted, so the
-benchmark doubles as an end-to-end differential check.
 """
 
 from __future__ import annotations
@@ -39,18 +36,11 @@ REPEAT = 3
 TASKS = ("generation", "optimization")
 
 
-def _run_task(task: str, persistent: bool):
+def _run_task(task: str, parallel: int):
     study = running_example()
     net = study.discretize()
-    if task == "generation":
-        return generate_layout(
-            net, study.schedule, study.r_t_min,
-            parallel=PROCESSES, persistent=persistent,
-        )
-    return optimize_schedule(
-        net, study.schedule, study.r_t_min,
-        parallel=PROCESSES, persistent=persistent,
-    )
+    run = generate_layout if task == "generation" else optimize_schedule
+    return run(net, study.schedule, study.r_t_min, parallel=parallel)
 
 
 def _best_of(fn, repeat: int = REPEAT):
@@ -65,35 +55,29 @@ def _best_of(fn, repeat: int = REPEAT):
     return value, best
 
 
-def bench_task(reg: MetricsRegistry, task: str) -> bool:
-    """Benchmark one task; returns whether persistent beat one-shot."""
-    oneshot, oneshot_s = _best_of(lambda: _run_task(task, False))
-    resident, resident_s = _best_of(lambda: _run_task(task, True))
+def bench_task(reg: MetricsRegistry, task: str) -> None:
+    """Benchmark one task at both settings and check they agree."""
+    serial, serial_s = _best_of(lambda: _run_task(task, 1))
+    service, service_s = _best_of(lambda: _run_task(task, PROCESSES))
 
-    assert resident.satisfiable == oneshot.satisfiable
-    assert resident.objective_value == oneshot.objective_value
-    assert resident.proven_optimal == oneshot.proven_optimal
+    assert service.satisfiable == serial.satisfiable
+    assert service.objective_value == serial.objective_value
+    assert service.proven_optimal == serial.proven_optimal
+    # Both tasks descend with the default linear strategy.
+    assert service.solve_calls == serial.solve_calls
 
-    probes = resident.solve_calls
     prefix = f"bench.{task}."
-    reg.set(f"{prefix}oneshot_s", round(oneshot_s, 4))
-    reg.set(f"{prefix}persistent_s", round(resident_s, 4))
-    reg.set(f"{prefix}speedup", round(oneshot_s / resident_s, 3))
-    reg.set(f"{prefix}probes", probes)
-    reg.set(f"{prefix}oneshot_probes_per_s",
-            round(oneshot.solve_calls / oneshot_s, 2))
-    reg.set(f"{prefix}persistent_probes_per_s",
-            round(probes / resident_s, 2))
+    reg.set(f"{prefix}serial_s", round(serial_s, 4))
+    reg.set(f"{prefix}service_s", round(service_s, 4))
+    reg.set(f"{prefix}service_wall_ratio", round(service_s / serial_s, 3))
+    reg.set(f"{prefix}probes", serial.solve_calls)
     # Delta-shipping economics of the service session (last run).
     for key in ("service.clauses_loaded", "service.clauses_shipped",
                 "service.clauses_skipped", "share.broadcast",
                 "share.imported"):
-        value = resident.metrics.get(key)
+        value = service.metrics.get(key)
         if value is not None:
             reg.set(f"{prefix}{key}", value)
-    won = resident_s < oneshot_s
-    reg.set(f"{prefix}persistent_beats_oneshot", won)
-    return won
 
 
 def main(argv=None) -> int:
@@ -108,15 +92,13 @@ def main(argv=None) -> int:
     reg = MetricsRegistry()
     reg.set("bench.processes", PROCESSES)
     reg.set("bench.host_cpus", os.cpu_count())
-    all_won = True
     for task in TASKS:
-        won = bench_task(reg, task)
-        all_won = all_won and won
+        bench_task(reg, task)
         summary = reg.as_dict()
-        print(f"{task}: one-shot {summary[f'bench.{task}.oneshot_s']}s, "
-              f"persistent {summary[f'bench.{task}.persistent_s']}s "
-              f"(speedup {summary[f'bench.{task}.speedup']}x, "
-              f"{'win' if won else 'LOSS'})")
+        print(f"{task}: serial {summary[f'bench.{task}.serial_s']}s, "
+              f"service {summary[f'bench.{task}.service_s']}s "
+              f"(ratio {summary[f'bench.{task}.service_wall_ratio']}, "
+              f"{os.cpu_count()} CPUs)")
     reg.write_json(args.out)
     print(f"wrote {args.out}")
     if args.history:
@@ -124,7 +106,7 @@ def main(argv=None) -> int:
 
         append_history("descent", reg.as_dict(), path=args.history)
         print(f"history -> {args.history}")
-    return 0 if all_won else 1
+    return 0
 
 
 if __name__ == "__main__":

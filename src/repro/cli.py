@@ -234,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (linear/binary strategies)")
     generate.add_argument("--strategy", default="linear",
                           choices=["linear", "binary", "core"])
-    generate.add_argument("--no-persist", dest="persist",
-                          action="store_false",
-                          help="fork fresh portfolio workers per probe "
-                               "instead of reusing the resident "
-                               "incremental solver service")
     generate.add_argument("--lazy", action=argparse.BooleanOptionalAction,
                           default=False,
                           help="defer cross-train constraints to the CEGAR "
@@ -256,11 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (linear/binary strategies)")
     optimize.add_argument("--strategy", default="linear",
                           choices=["linear", "binary", "core"])
-    optimize.add_argument("--no-persist", dest="persist",
-                          action="store_false",
-                          help="fork fresh portfolio workers per probe "
-                               "instead of reusing the resident "
-                               "incremental solver service")
     optimize.add_argument("--min-borders", action="store_true",
                           help="secondarily minimise VSS borders")
     optimize.add_argument("--objective", default="makespan",
@@ -783,7 +773,6 @@ def _run_command(args) -> int:
             raise SystemExit("--resume requires --checkpoint")
         result = generate_layout(net, schedule, r_t, strategy=args.strategy,
                                  parallel=args.jobs,
-                                 persistent=args.persist,
                                  timeout_s=args.timeout,
                                  checkpoint_path=args.checkpoint,
                                  resume=args.resume,
@@ -799,7 +788,6 @@ def _run_command(args) -> int:
             minimize_borders_secondary=args.min_borders,
             objective=args.objective,
             parallel=args.jobs,
-            persistent=args.persist,
             timeout_s=args.timeout,
             checkpoint_path=args.checkpoint,
             resume=args.resume,

@@ -25,8 +25,11 @@ verdicts and objective optima.
 :class:`LazyRefiner` is the reusable check-and-refine step (the descent
 in :mod:`repro.opt.minimize` plugs it in as a ``refine`` callback);
 :func:`solve_lazy_verification` is the complete loop for the plain
-verification task, serial or through the persistent solver service
-(which ships each round's new clauses as an O(delta) probe payload).
+verification task.  It runs on the probe session of
+:func:`repro.sat.service.open_session` — one in-process incremental
+solver at ``parallel=1``, the resident solver service above it — which
+loads each round's new clauses as the next probe's delta and decides on
+its own how a probe falls back.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from repro.encoding.validate import (
 )
 from repro.obs import events as obs_events
 from repro.obs import trace
-from repro.sat.portfolio import diversified_members, solve_portfolio
-from repro.sat.service import ServiceError, SolverService
+from repro.sat.service import open_session
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 
@@ -298,180 +300,49 @@ def solve_lazy_verification(
 ) -> LazyOutcome:
     """Run the solve→check→refine loop to a clean model or UNSAT.
 
-    ``parallel > 1`` races each round through the persistent solver
-    service (new clauses travel as the next probe's delta); if the
-    service dies mid-loop the round is replayed through the one-shot
-    portfolio.  ``parallel = 1`` keeps one incremental solver in
-    process.  ``strategy`` selects the refiner's clause-selection cell
-    (see :class:`LazyRefiner`).  ``profile`` turns on the hot-path
-    phase profiler in every solver the loop creates; the resulting
-    ``profile.*`` counters ride in ``solver_stats``.
+    ``parallel = 1`` keeps one incremental solver in process;
+    ``parallel > 1`` races each round through the resident solver
+    service (``members`` overrides its diversified configurations),
+    which falls back to a serial solve over the refined clause set when
+    it cannot fork or loses every worker.  Each round's new clauses
+    travel as the next probe's delta.  ``strategy`` selects the
+    refiner's clause-selection cell (see :class:`LazyRefiner`).
+    ``profile`` turns on the hot-path phase profiler in every solver the
+    loop creates; the resulting ``profile.*`` counters ride in
+    ``solver_stats``.
     """
     refiner = LazyRefiner(encoding, strategy=strategy)
-    if parallel > 1:
-        return _lazy_portfolio_loop(
-            encoding, refiner, parallel, members, profile=profile
-        )
-    return _lazy_serial_loop(encoding, refiner, profile=profile)
-
-
-def _lazy_serial_loop(
-    encoding, refiner: LazyRefiner, profile: bool = False
-) -> LazyOutcome:
     cnf = encoding.cnf
-    solver = Solver(SolverConfig(profile=profile))
-    progress = obs_events.progress_callback()
-    if progress is not None:
-        solver.on_progress(progress)
-    if obs_events.enabled():
-        solver.on_event(obs_events.emit)
-    solver.ensure_var(max(cnf.num_vars, 1))
-    shipped = 0
-    calls = 0
-    while True:
-        with trace.span("load", clauses=len(cnf.clauses) - shipped):
-            solver.add_clauses(cnf.clauses[shipped:])
-        shipped = len(cnf.clauses)
-        calls += 1
-        with trace.span("lazy.solve", call=calls):
-            verdict = solver.solve()
-        if verdict is SolveResult.UNSAT:
-            return LazyOutcome(
-                satisfiable=False,
-                true_vars=None,
-                refiner=refiner,
-                solver_stats=solver.stats.as_dict(),
-                solve_calls=calls,
-                solver=solver,
-            )
-        if verdict is not SolveResult.SAT:
-            raise RuntimeError(
-                f"lazy verification solve returned {verdict!r} without a "
-                "deadline in play"
-            )
-        model = solver.model()
-        if refiner.refine(model) == 0:
-            return LazyOutcome(
-                satisfiable=True,
-                true_vars={lit for lit in model if lit > 0},
-                refiner=refiner,
-                solver_stats=solver.stats.as_dict(),
-                solve_calls=calls,
-                solver=solver,
-            )
-
-
-def _lazy_portfolio_loop(
-    encoding,
-    refiner: LazyRefiner,
-    parallel: int,
-    members,
-    profile: bool = False,
-) -> LazyOutcome:
-    cnf = encoding.cnf
-    if members is None:
-        base = SolverConfig(profile=True) if profile else None
-        members = diversified_members(parallel, base=base)
-    merged: dict = {}
-    winners: dict[str, int] = {}
-    wall = 0.0
-    calls = 0
-    service_info: dict = {}
-    service = None
+    session = open_session(
+        cnf.num_vars, cnf.clauses, parallel, members,
+        SolverConfig(profile=True) if profile else None,
+    )
     try:
-        service = SolverService(
-            cnf.num_vars, cnf.clauses, members=members, processes=parallel
-        ).start()
-    except ServiceError as exc:
-        service_info["fallback"] = str(exc)
-        trace.event("service.fallback", error=str(exc))
-
-    def absorb(stats: dict) -> None:
-        for key, value in stats.items():
-            if isinstance(value, (int, float)):
-                merged[key] = merged.get(key, 0) + value
-
-    def summary() -> dict:
-        info = dict(service_info)
-        if service is not None:
-            info.update(service.summary())
-        return {
-            "processes": parallel,
-            "calls": calls,
-            "winners": dict(winners),
-            "wall_time_s": wall,
-            "persistent": service is not None or "fallback" in info,
-            "service": info,
-        }
-
-    snapshot_len = -1
-    snapshot: list[list[int]] = []
-    try:
+        calls = 0
         while True:
             calls += 1
-            verdict = None
-            model = None
-            if service is not None:
-                try:
-                    outcome = service.probe()
-                except ServiceError as exc:
-                    service_info.update(service.summary())
-                    service_info["fallback"] = str(exc)
-                    trace.event("service.fallback", error=str(exc))
-                    service.close()
-                    service = None
-                else:
-                    wall += outcome.wall_time_s
-                    absorb(outcome.stats)
-                    if outcome.winner_name:
-                        winners[outcome.winner_name] = (
-                            winners.get(outcome.winner_name, 0) + 1
-                        )
-                    if outcome.verdict is not SolveResult.UNKNOWN:
-                        verdict = outcome.verdict
-                        model = outcome.model
-            if verdict is None:
-                # Service gone (or indefinite): replay through a one-shot
-                # race over the full current clause set.
-                if snapshot_len != len(cnf.clauses):
-                    snapshot = list(cnf.clauses)
-                    snapshot_len = len(snapshot)
-                with trace.span("lazy.race", call=calls):
-                    race = solve_portfolio(
-                        cnf.num_vars, snapshot,
-                        members=members, processes=parallel,
-                    )
-                if race.stats is not None:
-                    wall += race.stats.wall_time_s
-                    name = race.stats.winner_name
-                    if name:
-                        winners[name] = winners.get(name, 0) + 1
-                    absorb(race.stats.merged_counters())
-                verdict = race.verdict
-                model = race.model
-            if verdict is SolveResult.UNSAT:
-                return LazyOutcome(
-                    satisfiable=False,
-                    true_vars=None,
-                    refiner=refiner,
-                    solver_stats=merged,
-                    solve_calls=calls,
-                    portfolio=summary(),
-                )
-            if verdict is not SolveResult.SAT:
+            with trace.span("lazy.solve", call=calls):
+                outcome = session.probe()
+            if outcome.verdict is SolveResult.UNSAT:
+                true_vars = None
+                break
+            if outcome.verdict is not SolveResult.SAT:
                 raise RuntimeError(
-                    f"lazy verification race returned {verdict!r} without "
-                    "a deadline in play"
+                    f"lazy verification solve returned {outcome.verdict!r} "
+                    "without a deadline in play"
                 )
-            if refiner.refine(model or []) == 0:
-                return LazyOutcome(
-                    satisfiable=True,
-                    true_vars={lit for lit in model if lit > 0},
-                    refiner=refiner,
-                    solver_stats=merged,
-                    solve_calls=calls,
-                    portfolio=summary(),
-                )
+            model = outcome.model or []
+            if refiner.refine(model) == 0:
+                true_vars = {lit for lit in model if lit > 0}
+                break
+        return LazyOutcome(
+            satisfiable=true_vars is not None,
+            true_vars=true_vars,
+            refiner=refiner,
+            solver_stats=session.solver_stats(),
+            solve_calls=calls,
+            solver=session.solver,
+            portfolio=session.summary(),
+        )
     finally:
-        if service is not None:
-            service.close()
+        session.close()

@@ -36,7 +36,6 @@ VOLATILE_PARAMS = frozenset({
     "deadline_s",
     "no_cache",
     "parallel",
-    "persistent",
     "profile",
     "timeout_s",
 })

@@ -42,14 +42,13 @@ _TASK_PARAMS = {
         "profile", "guarded_arrivals",
     }),
     "generate": frozenset({
-        "strategy", "parallel", "persistent", "timeout_s", "lazy",
-        "lazy_strategy", "profile", "guarded_arrivals",
+        "strategy", "parallel", "timeout_s", "lazy", "lazy_strategy",
+        "profile", "guarded_arrivals",
     }),
     "optimize": frozenset({
         "strategy", "objective", "refine_arrivals",
-        "minimize_borders_secondary", "parallel", "persistent",
-        "timeout_s", "lazy", "lazy_strategy", "profile",
-        "guarded_arrivals",
+        "minimize_borders_secondary", "parallel", "timeout_s", "lazy",
+        "lazy_strategy", "profile", "guarded_arrivals",
     }),
     "fuzz": frozenset({
         "count", "seed", "max_trains", "max_loops", "check_optimum",

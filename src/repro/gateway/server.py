@@ -334,7 +334,6 @@ class Gateway:
             fallback = dict(payload)
             params = dict(fallback.get("params") or {})
             params["parallel"] = 1
-            params.pop("persistent", None)
             fallback["params"] = params
             fallback.pop("inject", None)
             try:

@@ -32,7 +32,6 @@ def minimize_weighted_sum(
     weighted_lits: list[tuple[int, int]],
     strategy: str = "linear",
     parallel: int = 1,
-    persistent: bool = False,
     wall_deadline_s: float | None = None,
     refine=None,
     profile: bool = False,
@@ -41,9 +40,9 @@ def minimize_weighted_sum(
 
     ``weighted_lits`` is a list of ``(literal, weight)`` pairs with positive
     integer weights.  Returns a :class:`MinimizeResult` whose ``cost`` is the
-    weighted optimum.  ``parallel`` and ``persistent`` are forwarded to the
-    underlying :func:`minimize_sum` descents (portfolio-raced when
-    ``parallel > 1``, on the resident solver service when ``persistent``).
+    weighted optimum.  ``parallel`` is forwarded to the underlying
+    :func:`minimize_sum` descents (raced on the resident solver service
+    when ``parallel > 1``).
     ``wall_deadline_s`` bounds the whole minimisation; stratified runs give
     each stratum the remaining budget and propagate a timeout outcome.
     ``refine`` is the lazy-encoding check callback, forwarded to every
@@ -63,7 +62,7 @@ def minimize_weighted_sum(
         ]
         result = minimize_sum(
             cnf, duplicated, strategy=strategy, parallel=parallel,
-            persistent=persistent, wall_deadline_s=wall_deadline_s,
+            wall_deadline_s=wall_deadline_s,
             refine=refine, profile=profile,
         )
         return result
@@ -101,7 +100,7 @@ def minimize_weighted_sum(
                 break
         result = minimize_sum(
             cnf, lits, strategy=strategy, parallel=parallel,
-            persistent=persistent, wall_deadline_s=remaining,
+            wall_deadline_s=remaining,
             refine=refine, profile=profile,
         )
         calls += result.solve_calls

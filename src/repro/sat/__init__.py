@@ -10,8 +10,13 @@ Public entry points:
 * :class:`Solver` — the CDCL solver (add clauses, solve under assumptions,
   read back models and unsat cores).
 * :class:`SolveResult` — SAT / UNSAT / UNKNOWN verdicts.
-* :func:`solve_portfolio` / :class:`SolverService` — one-shot and
-  resident-incremental parallel portfolios over diversified configs.
+* :func:`solve_portfolio` — one-shot parallel portfolio race over
+  diversified configs (eager parallel verification, DRAT proofs).
+* :func:`open_session` — the probe session of a descent or lazy
+  refinement loop: :class:`SerialSession` (one in-process incremental
+  solver) at ``parallel=1``, the resident :class:`SolverService` above
+  it, which falls back to a serial session when it cannot fork or loses
+  its last worker.
 * :func:`parse_dimacs` / :func:`write_dimacs` — DIMACS CNF interchange.
 
 The solver runs on one engine, the flat-array kernel, which also logs
@@ -34,10 +39,10 @@ from repro.sat.portfolio import (
 from repro.sat.proof import ProofLogger, check_rup_proof, parse_drat
 from repro.sat.service import (
     ProbeOutcome,
-    ServiceDeadError,
+    SerialSession,
     ServiceError,
-    ShareConfig,
     SolverService,
+    open_session,
 )
 from repro.sat.simplify import SimplifyStats, simplify_clauses
 from repro.sat.solver import Solver
@@ -56,10 +61,10 @@ __all__ = [
     "diversified_members",
     "solve_portfolio",
     "SolverService",
+    "SerialSession",
     "ServiceError",
-    "ServiceDeadError",
-    "ShareConfig",
     "ProbeOutcome",
+    "open_session",
     "ProofLogger",
     "SimplifyStats",
     "simplify_clauses",

@@ -8,8 +8,7 @@ hardware the wall time drops to the *fastest* member instead of the default
 one (cf. Engels & Wille's observation that solver-strategy choice dominates
 runtime on these ETCS moving-block encodings).
 
-Determinism (the default) is achieved by decoupling the race from the
-witness:
+Determinism is achieved by decoupling the race from the witness:
 
 * an **UNSAT** answer is accepted from whichever member proves it first —
   the verdict is the same no matter who wins, so no nondeterminism leaks;
@@ -19,14 +18,17 @@ witness:
   the reported model — and everything decoded from it — is a pure function
   of the formula, never of scheduling jitter.
 
-With ``deterministic=False`` the first finisher wins outright (lowest
-latency, model may vary between runs).
-
 Worker crashes never hang the run: dead processes are detected and the
 surviving members still produce the answer; if *every* member dies the
 portfolio falls back to solving in-process.  On platforms without ``fork``
 (or with ``processes <= 1``) the portfolio degrades to the exact serial
 path of the primary member.
+
+This one-shot race serves eager parallel verification (``verify
+--no-lazy -j N``, ``verify --proof -j N``) and is the only race that
+ships DRAT proofs; descents and lazy refinement loops, which probe one
+growing clause set many times, run on the probe sessions of
+:mod:`repro.sat.service` instead.
 """
 
 from __future__ import annotations
@@ -464,7 +466,6 @@ def solve_portfolio(
     processes: int | None = None,
     timeout_s: float | None = None,
     with_proof: bool = False,
-    deterministic: bool = True,
 ) -> PortfolioResult:
     """Race a portfolio of solver configurations on one CNF.
 
@@ -482,8 +483,6 @@ def solve_portfolio(
             cancelled and the verdict is :data:`SolveResult.UNKNOWN`.
         with_proof: ship the winner's DRAT log on UNSAT (member-level
             preprocessing is skipped so the proof premises stay intact).
-        deterministic: take SAT models only from the primary member (see
-            module docstring).  ``False`` races to the first finisher.
 
     Returns a :class:`PortfolioResult`; raises
     :class:`PortfolioDisagreementError` if two members contradict each other
@@ -610,12 +609,12 @@ def solve_portfolio(
                 winner_index = index
                 break
             if msg["verdict"] == SolveResult.SAT.value:
-                if not deterministic or index == 0:
+                if index == 0:
                     winner_index = index
                     break
-                # Deterministic mode: remember the witness, free the other
-                # racers, and let the primary finish so the reported model
-                # does not depend on scheduling.
+                # Remember the witness, free the other racers, and let the
+                # primary finish so the reported model does not depend on
+                # scheduling.
                 if sat_candidate is None or index < sat_candidate:
                     sat_candidate = index
                 cancel(

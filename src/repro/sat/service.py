@@ -1,52 +1,55 @@
-"""Persistent incremental portfolio solving for bound-probing descents.
+"""Probe sessions for bound-probing descents and refinement loops.
 
-The optimisation descents in :mod:`repro.opt` solve one formula many times
-under tightening assumptions.  The one-shot portfolio
-(:mod:`repro.sat.portfolio`) re-forks fresh worker processes for every
-probe and re-loads the *entire* clause set into each of them, throwing
-away all learned clauses, VSIDS activities, and saved phases between
-probes — exactly the incremental state that makes the serial descent
-cheap (cf. Engels & Wille, who show incremental extension dominating
-from-scratch re-solving on this problem family).
+The optimisation descents in :mod:`repro.opt` and the lazy verification
+loop in :mod:`repro.encoding.lazy` solve one growing clause set many
+times under changing assumptions.  Both run on a *probe session* with
+one contract: the clause list is held by reference, clauses appended
+since the last probe are loaded as the next probe's delta, and
+``probe(assumptions, timeout_s)`` answers with a :class:`ProbeOutcome`;
+``summary()``, ``solver_stats()`` and ``close()`` complete it.
+:func:`open_session` picks the session for a ``parallel`` setting:
 
-This module keeps the portfolio *resident* instead:
+* :class:`SerialSession` (``parallel <= 1``) keeps one incremental
+  :class:`~repro.sat.Solver` in process — the serial search, with its
+  learned clauses, activities and phases kept across probes.
+* :class:`SolverService` (``parallel > 1``) forks one long-lived worker
+  per :class:`~repro.sat.portfolio.PortfolioMember` **once per
+  session**.  The initial CNF travels to the workers for free via
+  ``fork`` and each probe ships only the assumption literals plus the
+  clause *delta* (for example newly built totalizer layers) over a pipe
+  — O(delta) traffic instead of O(|CNF|) per probe
+  (``service.clauses_shipped`` vs ``service.clauses_skipped``).  Deltas,
+  shared clauses, and harvested exports travel as flat ``array('i')``
+  buffers (:mod:`repro.sat.wire`), one pickled blob per probe instead of
+  one object per literal.  Between probes the parent harvests low-LBD
+  clauses from the probe's finishers (winner first) via
+  :meth:`Solver.export_learned`, dedups them by sorted-literal key, and
+  broadcasts them — bounded by a per-probe budget — to the other
+  members via :meth:`Solver.import_clauses` (``share.*`` counters).
 
-* :class:`SolverService` forks one long-lived worker per
-  :class:`~repro.sat.portfolio.PortfolioMember` **once per descent**.
-  The initial CNF travels to the workers for free via ``fork`` and each
-  probe ships only the assumption literals plus the clause *delta* (for
-  example newly built totalizer layers) over a pipe — O(delta) traffic
-  instead of O(|CNF|) per probe (``service.clauses_shipped`` vs
-  ``service.clauses_skipped``).  Deltas, shared clauses, and harvested
-  exports travel as flat ``array('i')`` buffers (:mod:`repro.sat.wire`),
-  one pickled blob per probe instead of one object per literal.
-* Every worker holds one incremental :class:`~repro.sat.Solver`, so
-  learned clauses, activities, and phases persist across probes.
-* Between probes the parent harvests low-LBD clauses from the probe's
-  finishers (winner first) via :meth:`Solver.export_learned`, dedups
-  them by sorted-literal key, and broadcasts them — bounded by a
-  per-probe budget — to the other members via
-  :meth:`Solver.import_clauses`, giving every member a warm start
-  (``share.*`` counters).
-
-Determinism mirrors the one-shot portfolio: an UNSAT answer is accepted
-from whichever member proves it first, while SAT *models* are only taken
-from the primary (lowest-index live) member, which also never imports
-foreign clauses — its search is exactly the serial incremental descent,
-so the linear descent's reported models stay a pure function of the
-formula.  Losing members are cancelled *cooperatively*: a progress hook
-raises inside the search, the worker answers "cancelled", and its solver
-(state intact) is ready for the next probe.
+An UNSAT answer is accepted from whichever member proves it first, while
+SAT *models* are only taken from the primary (lowest-index live) member,
+which also never imports foreign clauses — its search is exactly the
+serial incremental descent, so the reported models stay a pure function
+of the formula.  Losing members are cancelled *cooperatively*: a
+progress hook raises inside the search, the worker answers "cancelled",
+and its solver (state intact) is ready for the next probe.
 
 Workers that crash or stop responding are terminated and recorded
-(``service.worker_crashes``); the survivors keep the session alive.  A
-session with no live workers raises :class:`ServiceDeadError`, which the
-descent layer (:func:`repro.opt.minimize.minimize_sum`) answers by
-falling back to the one-shot portfolio for the remaining probes.
+(``service.worker_crashes``); the survivors keep the session alive.
+This module alone decides how a probe falls back: when the service
+cannot fork, loses its last worker, or ends a race UNKNOWN with no
+deadline in play, it retires its workers and answers that probe and
+every later one on an in-process :class:`SerialSession` built from
+member 0's configuration with the default :class:`~repro.sat.Solver`
+factory (a custom factory may be what crashed).  The fallback runs no
+worker fault hooks, loads every clause appended so far, and is recorded
+as ``summary()["service"]["fallback"]``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -66,7 +69,7 @@ from repro.sat.portfolio import (
     member_config_dict,
 )
 from repro.sat.solver import Solver
-from repro.sat.types import SolveResult
+from repro.sat.types import SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
 from repro.testing import faults
 
@@ -87,32 +90,22 @@ _CANCEL_GRACE_S = 10.0
 _PROGRESS_EVENT_CHECKS = 16
 
 
+#: Learned-clause exchange between probes: only clauses with LBD at or
+#: below this are exported ...
+_SHARE_MAX_LBD = 4
+#: ... and at most this long ...
+_SHARE_MAX_LEN = 8
+#: ... and at most this many are broadcast after one probe.
+_SHARE_BUDGET = 128
+
+
 class ServiceError(RuntimeError):
-    """The solver service could not be started or used."""
-
-
-class ServiceDeadError(ServiceError):
-    """Every worker of the service has died; the session is unusable."""
-
-
-@dataclass(frozen=True)
-class ShareConfig:
-    """Knobs of the learned-clause exchange between probes.
-
-    Attributes:
-        max_lbd: only clauses with LBD at or below this are exported.
-        max_len: only clauses at most this long are exported.
-        budget_per_probe: cap on clauses broadcast after one probe.
-    """
-
-    max_lbd: int = 4
-    max_len: int = 8
-    budget_per_probe: int = 128
+    """A probe session was used outside its start/close lifetime."""
 
 
 @dataclass
 class ProbeOutcome:
-    """Answer of one :meth:`SolverService.probe` call."""
+    """Answer of one ``probe`` call on a probe session."""
 
     verdict: SolveResult
     model: list[int] | None = None
@@ -198,8 +191,7 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             return
         if msg[0] == "quit":
             return
-        __, probe_id, assumptions, delta_buf, imports_buf, share_spec, \
-            timeout_s = msg
+        __, probe_id, assumptions, delta_buf, imports_buf, timeout_s = msg
         start = time.perf_counter()
         reply: dict = {"index": index, "probe": probe_id}
         try:
@@ -226,12 +218,10 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
                     verdict = SolveResult.UNKNOWN
                 span.add(verdict=verdict.value, cancelled=cancelled)
             solver.on_progress(None)
-            max_lbd, max_len, budget = share_spec
-            learned: list[list[int]] = []
-            if budget > 0:
-                learned = solver.export_learned(
-                    max_lbd, max_len, limit=budget, skip_keys=exported_keys
-                )
+            learned = solver.export_learned(
+                _SHARE_MAX_LBD, _SHARE_MAX_LEN, limit=_SHARE_BUDGET,
+                skip_keys=exported_keys,
+            )
             reply.update(
                 verdict=verdict.value,
                 cancelled=cancelled,
@@ -261,6 +251,109 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             return
 
 
+class SerialSession:
+    """One in-process incremental :class:`Solver` behind the probe contract.
+
+    ``clauses`` is held *by reference*: :meth:`start` loads it, and each
+    :meth:`probe` first loads the clauses appended since the last load
+    (totalizer layers, lazy refinements) in one
+    :meth:`Solver.add_clauses` call.  The solver keeps its learned
+    clauses, activities and phases across probes: this is the serial
+    incremental search.  ``config`` is copied, because every probe
+    retunes the copy's wall deadline.
+    """
+
+    def __init__(
+        self,
+        num_vars: int,
+        clauses: list[list[int]],
+        config: SolverConfig | None = None,
+    ):
+        self._num_vars = num_vars
+        self._clauses = clauses
+        self._config = dataclasses.replace(config or SolverConfig())
+        self._own_deadline_s = self._config.wall_deadline_s
+        self._loaded = 0
+        self._probes = 0
+        self._open = False
+        #: The solver answering the probes (set by :meth:`start`).
+        self.solver: Solver | None = None
+
+    def start(self) -> "SerialSession":
+        """Build the solver and load the current clauses."""
+        if self.solver is not None:
+            raise ServiceError("session already started")
+        solver = Solver(self._config)
+        progress = obs_events.progress_callback()
+        if progress is not None:
+            solver.on_progress(progress)
+        if obs_events.enabled():
+            solver.on_event(obs_events.emit)
+        solver.ensure_var(max(self._num_vars, 1))
+        self.solver = solver
+        self._open = True
+        self._load()
+        return self
+
+    def close(self) -> None:
+        """End the session; the solver stays readable."""
+        self._open = False
+
+    def summary(self) -> None:
+        """A serial session races nothing, so it has no portfolio summary."""
+        return None
+
+    def solver_stats(self) -> dict:
+        """The solver's lifetime counters."""
+        return self.solver.stats.as_dict()
+
+    def probe(
+        self,
+        assumptions: list[int] | tuple[int, ...] = (),
+        timeout_s: float | None = None,
+    ) -> ProbeOutcome:
+        """Load the clause delta, then solve once under ``assumptions``.
+
+        ``timeout_s`` caps this solve's wall deadline (together with the
+        configured one); an UNKNOWN that hit it is ``timed_out``.
+        """
+        if not self._open:
+            raise ServiceError("session not started")
+        start = time.perf_counter()
+        self._probes += 1
+        self._load()
+        solver = self.solver
+        deadline = self._own_deadline_s
+        if timeout_s is not None:
+            deadline = (
+                timeout_s if deadline is None else min(deadline, timeout_s)
+            )
+        solver.config.wall_deadline_s = deadline
+        verdict = solver.solve(list(assumptions))
+        return ProbeOutcome(
+            verdict=verdict,
+            model=solver.model() if verdict is SolveResult.SAT else None,
+            unsat_core=(
+                solver.unsat_core() if verdict is SolveResult.UNSAT else []
+            ),
+            wall_time_s=time.perf_counter() - start,
+            cold=self._probes == 1,
+            timed_out=(
+                verdict is SolveResult.UNKNOWN
+                and solver.last_stats.deadline_hits > 0
+            ),
+            stats=solver.last_stats.as_dict(),
+        )
+
+    def _load(self) -> None:
+        """Load the clauses appended since the last load."""
+        count = len(self._clauses) - self._loaded
+        if count:
+            with trace.span("load", clauses=count):
+                self.solver.add_clauses(self._clauses[self._loaded:])
+            self._loaded = len(self._clauses)
+
+
 class SolverService:
     """A resident portfolio of incremental solvers for one clause set.
 
@@ -280,14 +373,16 @@ class SolverService:
             service.close()
     """
 
+    #: Probes run in worker processes: no in-process solver to read
+    #: (the probe-session counterpart of :attr:`SerialSession.solver`).
+    solver = None
+
     def __init__(
         self,
         num_vars: int,
         clauses: list[list[int]],
         members: list[PortfolioMember] | None = None,
         processes: int | None = None,
-        deterministic: bool = True,
-        share: ShareConfig | None = None,
         cancel_grace_s: float | None = None,
     ):
         if processes is None:
@@ -299,8 +394,6 @@ class SolverService:
         self._members = list(members[: max(processes, 1)])
         self._num_vars = num_vars
         self._clauses = clauses
-        self._deterministic = deterministic
-        self._share = share or ShareConfig()
         self._cancel_grace_s = (
             cancel_grace_s if cancel_grace_s is not None else _CANCEL_GRACE_S
         )
@@ -318,66 +411,67 @@ class SolverService:
         self._shipped = 0
         self._probe_id = 0
         self._started = False
+        self._fallback: SerialSession | None = None
+        self._fallback_reason = ""
+        self._stats: dict = {}
+        self._winners: dict[str, int] = {}
+        self._wall = 0.0
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "SolverService":
-        """Fork the resident workers; the current clauses travel free."""
+        """Fork the resident workers; the current clauses travel free.
+
+        A platform without ``fork``, or a fork that fails, starts the
+        serial fallback instead (see module docstring).
+        """
         if self._started:
             raise ServiceError("service already started")
+        self._started = True
+        self.metrics.inc("service.sessions")
+        self.metrics.counter("service.worker_crashes")  # stable key
         if not fork_available():
-            raise ServiceError("platform lacks the fork start method")
+            self._fall_back("platform lacks the fork start method")
+            return self
         ctx = multiprocessing.get_context("fork")
         self._shipped = len(self._clauses)
         child_trace = trace.enabled()
         child_events = obs_events.enabled()
-        for i, member in enumerate(self._members):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            cancel = ctx.Event()
-            proc = ctx.Process(
-                target=_service_worker,
-                args=(i, member, self._num_vars, self._clauses,
-                      child_conn, cancel, child_trace, child_events),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-            self._cancels.append(cancel)
-            self._alive.append(True)
-            self._pending_imports.append([])
-        self._started = True
-        self.metrics.inc("service.sessions")
+        try:
+            for i, member in enumerate(self._members):
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                self._conns.append(parent_conn)
+                cancel = ctx.Event()
+                proc = ctx.Process(
+                    target=_service_worker,
+                    args=(i, member, self._num_vars, self._clauses,
+                          child_conn, cancel, child_trace, child_events),
+                    daemon=True,
+                )
+                try:
+                    proc.start()
+                finally:
+                    child_conn.close()
+                self._procs.append(proc)
+                self._cancels.append(cancel)
+                self._alive.append(True)
+                self._pending_imports.append([])
+        except OSError as exc:
+            self._fall_back(f"could not fork a worker: {exc}")
+            return self
         self.metrics.set("service.workers", len(self._members))
         self.metrics.inc("service.clauses_loaded", self._shipped)
-        self.metrics.counter("service.worker_crashes")  # stable key
         trace.event("service.start", workers=len(self._members),
                     clauses=self._shipped)
         return self
 
     def close(self) -> None:
-        """Shut the workers down (idempotent)."""
+        """Shut the workers (or the serial fallback) down (idempotent)."""
         if not self._started:
             return
-        for i, conn in enumerate(self._conns):
-            if self._alive[i]:
-                try:
-                    conn.send(("quit",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for proc in self._procs:
-            proc.join(timeout=1.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._alive = [False] * len(self._alive)
+        self._shutdown_workers()
+        if self._fallback is not None:
+            self._fallback.close()
         self._started = False
 
     def __enter__(self) -> "SolverService":
@@ -400,8 +494,13 @@ class SolverService:
                 for proc, alive in zip(self._procs, self._alive)]
 
     def summary(self) -> dict:
-        """Session counters plus per-worker reports (for telemetry)."""
-        return {
+        """The session's portfolio summary (for results and telemetry).
+
+        ``calls``, ``winners`` and ``wall_time_s`` cover every probe;
+        ``service`` holds the session counters, the per-worker reports
+        and, after a fallback, its reason under ``fallback``.
+        """
+        service = {
             "counters": self.metrics.as_dict(),
             "workers": [
                 {"name": r.name, "error": r.error, "alive": alive,
@@ -409,6 +508,19 @@ class SolverService:
                 for r, alive in zip(self.reports, self._alive)
             ],
         }
+        if self._fallback_reason:
+            service["fallback"] = self._fallback_reason
+        return {
+            "processes": len(self._members),
+            "calls": self._probe_id,
+            "winners": dict(self._winners),
+            "wall_time_s": self._wall,
+            "service": service,
+        }
+
+    def solver_stats(self) -> dict:
+        """Solver counters summed over every probe's replies."""
+        return dict(self._stats)
 
     # -- probing -------------------------------------------------------
 
@@ -420,18 +532,44 @@ class SolverService:
         """Race one incremental solve over the resident workers.
 
         Ships only the clauses appended since the last probe plus the
-        assumption literals.  Raises :class:`ServiceDeadError` when no
-        worker is left to ask, and
+        assumption literals.  When no worker is left, or the race ends
+        UNKNOWN without ``timeout_s``, the probe is answered by the
+        serial fallback (see module docstring).  Raises
         :class:`PortfolioDisagreementError` when two members contradict
         each other.
         """
         if not self._started:
             raise ServiceError("service not started")
-        alive = [i for i, ok in enumerate(self._alive) if ok]
-        if not alive:
-            raise ServiceDeadError("all service workers have died")
         start = time.perf_counter()
         self._probe_id += 1
+        self.metrics.inc("service.probes")
+        outcome = None
+        if self._fallback is None:
+            outcome = self._race(tuple(assumptions), timeout_s)
+            if outcome is None:
+                self._fall_back("all service workers have died")
+            elif outcome.verdict is SolveResult.UNKNOWN and timeout_s is None:
+                self._fall_back("the race ended UNKNOWN with no deadline")
+                outcome = None
+        if outcome is None:
+            if timeout_s is not None:  # what the failed race left over
+                timeout_s = max(timeout_s - (time.perf_counter() - start),
+                                0.0)
+            outcome = self._fallback.probe(assumptions, timeout_s)
+            self._absorb(outcome.stats)
+        self._wall += time.perf_counter() - start
+        if outcome.winner_name:
+            self._winners[outcome.winner_name] = (
+                self._winners.get(outcome.winner_name, 0) + 1
+            )
+        return outcome
+
+    def _race(self, assumptions, timeout_s) -> ProbeOutcome | None:
+        """Race the probe over the live workers; None if none answers."""
+        alive = [i for i, ok in enumerate(self._alive) if ok]
+        if not alive:
+            return None
+        start = time.perf_counter()
         probe_id = self._probe_id
         cold = probe_id == 1
 
@@ -439,34 +577,32 @@ class SolverService:
         delta = self._clauses[prev:]
         self._shipped = len(self._clauses)
         met = self.metrics
-        met.inc("service.probes")
         met.inc("service.clauses_shipped", len(delta))
         met.inc("service.clauses_skipped", prev)
         trace.counter("service.clauses_shipped",
                       shipped=len(delta), skipped=prev)
 
-        share_spec = (self._share.max_lbd, self._share.max_len,
-                      self._share.budget_per_probe)
         sent: set[int] = set()
         for i in alive:
             imports = self._pending_imports[i]
             self._pending_imports[i] = []
             try:
                 self._conns[i].send(
-                    ("probe", probe_id, tuple(assumptions),
-                     pack_clauses(delta), pack_clauses(imports),
-                     share_spec, timeout_s)
+                    ("probe", probe_id, assumptions,
+                     pack_clauses(delta), pack_clauses(imports), timeout_s)
                 )
                 sent.add(i)
             except (BrokenPipeError, OSError):
                 self._mark_dead(i, "worker pipe closed before the probe")
         if not sent:
-            raise ServiceDeadError("no live worker accepted the probe")
+            return None
 
         with trace.span("service.race", probe=probe_id,
                         workers=len(sent)) as race_span:
             outcome = self._collect(probe_id, sent, timeout_s, start,
                                     cold)
+            if outcome is None:
+                return None
             race_span.add(verdict=outcome.verdict.name,
                           winner=outcome.winner_name)
         met.observe("service.probe_wall_s", outcome.wall_time_s)
@@ -498,6 +634,40 @@ class SolverService:
         return outcome
 
     # -- internals -----------------------------------------------------
+
+    def _fall_back(self, reason: str) -> None:
+        """Retire the workers; later probes go to an in-process solver."""
+        self._shutdown_workers()
+        self._fallback_reason = reason
+        trace.event("service.fallback", error=reason)
+        self._fallback = SerialSession(
+            self._num_vars, self._clauses, self._members[0].config
+        ).start()
+
+    def _shutdown_workers(self) -> None:
+        for conn, alive in zip(self._conns, self._alive):
+            if alive:
+                try:
+                    conn.send(("quit",))
+                except (BrokenPipeError, OSError):
+                    pass
+        for proc in self._procs:
+            proc.join(timeout=1.0)
+        for proc in self._procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+        for conn in self._conns:
+            try:
+                conn.close()
+            except OSError:
+                pass
+        self._alive = [False] * len(self._alive)
+
+    def _absorb(self, stats: dict) -> None:
+        for key, value in stats.items():
+            if isinstance(value, (int, float)):
+                self._stats[key] = self._stats.get(key, 0) + value
 
     def _mark_dead(self, index: int, error: str, tb: str = "") -> None:
         if not self._alive[index]:
@@ -577,14 +747,14 @@ class SolverService:
                     winner = i
                 cancel(set(pending))
             elif msg["verdict"] == SolveResult.SAT.value:
-                if not self._deterministic or i == primary:
+                if i == primary:
                     if winner is None:
                         winner = i
                     cancel(set(pending))
                 else:
-                    # Deterministic: remember the witness, free the
-                    # other helpers, let the primary finish so the
-                    # model does not depend on scheduling.
+                    # Remember the witness, free the other helpers, let
+                    # the primary finish so the model does not depend on
+                    # scheduling.
                     if sat_candidate is None or i < sat_candidate:
                         sat_candidate = i
                     cancel({j for j in pending if j != primary})
@@ -658,6 +828,7 @@ class SolverService:
             for key, value in (msg.get("stats") or {}).items():
                 if isinstance(value, (int, float)):
                     merged[key] = merged.get(key, 0) + value
+        self._absorb(merged)
         if imported:
             self.metrics.inc("share.imported", imported)
             obs_events.emit("share.import", clauses=imported)
@@ -666,9 +837,7 @@ class SolverService:
 
         if winner is None:
             if not replies and not self._alive.count(True):
-                raise ServiceDeadError(
-                    "every service worker died during the probe"
-                )
+                return None  # every worker died during the probe
             return ProbeOutcome(
                 verdict=SolveResult.UNKNOWN, wall_time_s=wall, cold=cold,
                 timed_out=timed_out, stats=merged,
@@ -692,11 +861,11 @@ class SolverService:
         The winner's export is taken first (it decided the probe, its
         clauses are the proven-useful ones), then the other finishers',
         all deduped against everything shared before and capped by the
-        per-probe budget.  In deterministic mode the primary member
-        never imports, so its search stays the exact serial descent.
+        per-probe budget.  The primary member never imports, so its
+        search stays the exact serial descent.
         """
         met = self.metrics
-        budget = self._share.budget_per_probe
+        budget = _SHARE_BUDGET
         order = ([winner] if winner in replies else []) + [
             i for i in sorted(replies) if i != winner
         ]
@@ -719,9 +888,32 @@ class SolverService:
         alive = [i for i, ok in enumerate(self._alive) if ok]
         primary = min(alive, default=-1)
         for j in alive:
-            if self._deterministic and j == primary:
+            if j == primary:
                 continue
             queued = [lits for origin, lits in harvest if origin != j]
             if queued:
                 self._pending_imports[j].extend(queued)
                 met.inc("share.broadcast", len(queued))
+
+
+def open_session(
+    num_vars: int,
+    clauses: list[list[int]],
+    parallel: int = 1,
+    members: list[PortfolioMember] | None = None,
+    base: SolverConfig | None = None,
+) -> SerialSession | SolverService:
+    """Start the probe session of one descent or refinement loop.
+
+    ``parallel <= 1`` gives a :class:`SerialSession` solving with
+    ``base`` (default :class:`SolverConfig`); above that a
+    :class:`SolverService` racing ``members`` (default: ``parallel``
+    members diversified from ``base``).
+    """
+    if parallel <= 1:
+        return SerialSession(num_vars, clauses, base).start()
+    return SolverService(
+        num_vars, clauses,
+        members=members or diversified_members(parallel, base=base),
+        processes=parallel,
+    ).start()

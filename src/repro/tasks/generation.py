@@ -36,7 +36,6 @@ def generate_layout(
     options: EncodingOptions | None = None,
     border_costs: dict[int, int] | None = None,
     parallel: int = 1,
-    persistent: bool = True,
     timeout_s: float | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -55,14 +54,12 @@ def generate_layout(
     integer installation costs; the objective then becomes the weighted sum
     (paper: unweighted ``min Σ border_v``).  Unlisted vertices cost 1.
 
-    ``parallel > 1`` races every solve of the linear/binary descent through
-    the process portfolio (:mod:`repro.sat.portfolio`).  The core-guided
-    engine is inherently incremental and stays serial.
-
-    ``persistent`` (default) runs the parallel descent on the resident
-    incremental solver service (:mod:`repro.sat.service`), which keeps
-    learned clauses across probes and ships only clause deltas; it falls
-    back to the one-shot portfolio automatically when unavailable.
+    ``parallel > 1`` races every probe of the linear/binary descent on
+    the resident incremental solver service (:mod:`repro.sat.service`),
+    which keeps learned clauses across probes and ships only clause
+    deltas; it falls back to an in-process serial solve when it cannot
+    fork or loses every worker.  The core-guided engine is inherently
+    incremental and stays serial.
 
     ``timeout_s`` bounds the descent's wall clock: on expiry the task
     returns the best layout found so far (``status="timeout"`` with the
@@ -123,7 +120,7 @@ def generate_layout(
                 result = minimize_weighted_sum(
                     encoding.cnf, weighted,
                     strategy=strategy if strategy != "core" else "linear",
-                    parallel=parallel, persistent=persistent,
+                    parallel=parallel,
                     wall_deadline_s=timeout_s, refine=refine,
                     profile=profile,
                 )
@@ -135,8 +132,7 @@ def generate_layout(
             else:
                 result = minimize_sum(
                     encoding.cnf, objective, strategy=strategy,
-                    parallel=parallel, persistent=persistent,
-                    wall_deadline_s=timeout_s,
+                    parallel=parallel, wall_deadline_s=timeout_s,
                     checkpoint_path=checkpoint_path, resume=resume,
                     refine=refine, profile=profile,
                     warm_model=warm_model,

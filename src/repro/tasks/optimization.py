@@ -40,7 +40,6 @@ def optimize_schedule(
     objective: str = "makespan",
     refine_arrivals: bool = False,
     parallel: int = 1,
-    persistent: bool = True,
     timeout_s: float | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -67,15 +66,12 @@ def optimize_schedule(
     Set ``minimize_borders_secondary`` to additionally minimise VSS borders
     among objective-optimal solutions (applied last).
 
-    ``parallel > 1`` races every solve of the linear/binary descents
-    (including the refinement and secondary passes) through the process
-    portfolio (:mod:`repro.sat.portfolio`); the core-guided engine stays
-    serial.
-
-    ``persistent`` (default) runs each parallel descent on the resident
+    ``parallel > 1`` races every probe of the linear/binary descents
+    (including the refinement and secondary passes) on the resident
     incremental solver service (:mod:`repro.sat.service`) — one session
-    per descent pass — falling back to the one-shot portfolio when
-    unavailable.
+    per descent pass — which falls back to an in-process serial solve
+    when it cannot fork or loses every worker; the core-guided engine
+    stays serial.
 
     ``timeout_s`` bounds the *whole* task: the primary descent gets the
     remaining wall budget, each later pass gets what is left after the
@@ -149,8 +145,7 @@ def optimize_schedule(
             else:
                 result = minimize_sum(
                     encoding.cnf, objective_lits, strategy=strategy,
-                    parallel=parallel, persistent=persistent,
-                    wall_deadline_s=remaining(),
+                    parallel=parallel, wall_deadline_s=remaining(),
                     checkpoint_path=checkpoint_path, resume=resume,
                     refine=lazy_refine, profile=profile,
                     warm_model=warm_model,
@@ -194,7 +189,7 @@ def optimize_schedule(
             with trace.span("solve", phase="refine-arrivals"):
                 refined = minimize_sum(
                     encoding.cnf, arrival_lits, strategy=strategy,
-                    parallel=parallel, persistent=persistent,
+                    parallel=parallel,
                     wall_deadline_s=budget, refine=lazy_refine,
                     profile=profile,
                 )
@@ -237,7 +232,6 @@ def optimize_schedule(
                 secondary = minimize_sum(
                     encoding.cnf, encoding.border_objective(),
                     strategy=strategy, parallel=parallel,
-                    persistent=persistent,
                     wall_deadline_s=budget, refine=lazy_refine,
                     profile=profile,
                 )

@@ -10,14 +10,17 @@ that probe, hang for so long, fail the Nth checkpoint write.
 
 The environment is the transport on purpose: service and portfolio
 workers are forked children, so an armed plan reaches them with zero
-plumbing.  Every hook is a near-zero-cost no-op when no plan is armed
-(one cached environment lookup).
+plumbing.  The hooks fire only in those workers: the solver service's
+serial fallback runs in the parent process and never calls one, so a
+plan that kills every worker cannot also kill the fallback.  Every hook
+is a near-zero-cost no-op when no plan is armed (one cached environment
+lookup).
 
 Example::
 
     plan = FaultPlan(kill_member="fast-decay", kill_probe=2)
     with injected(plan):
-        result = minimize_sum(cnf, lits, parallel=2, persistent=True)
+        result = minimize_sum(cnf, lits, parallel=2)
     # worker "fast-decay" SIGKILLed itself at its 2nd probe; the
     # descent finished on the survivors.
 """

@@ -1,34 +1,41 @@
-"""The persistent incremental solver service and its descent integration.
+"""The probe sessions and their descent / lazy-loop integration.
 
 Covers the learned-clause exchange on the core solver, the
 :class:`repro.sat.service.SolverService` session protocol (delta
-shipping, cancellation, worker death), the differential agreement of the
-serial / one-shot-portfolio / persistent-service descents on the paper's
-running example, and the trace evidence that probes ship O(delta)
-clauses instead of O(|CNF|).
+shipping, cancellation, worker death, the serial fallback), the
+agreement of the serial and service descents on the paper's running
+example — down to the exact probe trajectory that lets one loop serve
+both — and the trace evidence that probes ship O(delta) clauses instead
+of O(|CNF|).
 """
 
 from __future__ import annotations
 
+import errno
 import os
 import signal
 
 import pytest
 
+from repro.casestudies.complex_layout import complex_layout
 from repro.casestudies.running_example import running_example
+from repro.encoding.lazy import (
+    DESCENT_LAZY_STRATEGY,
+    LazyRefiner,
+    solve_lazy_verification,
+)
 from repro.logic import CNF, VarPool
 from repro.logic.totalizer import Totalizer
+from repro.network.sections import VSSLayout
 from repro.obs import trace
 from repro.opt import minimize_sum
 from repro.sat import PortfolioMember, SolverConfig
 from repro.sat.portfolio import fork_available
-from repro.sat.service import (
-    ServiceError,
-    SolverService,
-)
+from repro.sat.service import ServiceError, SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
 from repro.tasks import generate_layout, optimize_schedule
+from repro.tasks.common import build_encoding
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -67,6 +74,24 @@ def _descent_cnf():
 
 
 SAT_CLAUSES = [[1, 2], [-1, 3], [-2, -3]]
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """Every fork fails as on an exhausted process table."""
+    def refuse():
+        raise BlockingIOError(errno.EAGAIN, "injected: fork refused")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def _lazy_encoding(study):
+    """The study's lazily built verification encoding (pure TTD layout)."""
+    net = study.discretize()
+    encoding = build_encoding(net, study.schedule, study.r_t_min, None,
+                              lazy=True)
+    encoding.pin_layout(VSSLayout.pure_ttd(net))
+    return encoding
 
 
 # --- learned-clause exchange on the core solver ----------------------------
@@ -170,17 +195,27 @@ class TestSolverService:
             assert service.alive_count == 2
             counters = service.metrics.as_dict()
             assert counters["service.worker_crashes"] == 1
-            assert service.summary()["workers"][2]["alive"] is False
+            workers = service.summary()["service"]["workers"]
+            assert workers[2]["alive"] is False
 
-    def test_all_workers_dead_raises_service_dead(self):
-        service = SolverService(3, [list(c) for c in SAT_CLAUSES],
-                                processes=2)
+    def test_all_workers_dead_falls_back_to_serial(self):
+        clauses = [list(c) for c in SAT_CLAUSES]
+        service = SolverService(3, clauses, processes=2)
         with service:
             service.probe()
             for pid in service.worker_pids():
                 os.kill(pid, signal.SIGKILL)
-            with pytest.raises(ServiceError):
-                service.probe()
+            clauses.append([-1])
+            # The fallback answers in process over every clause so far.
+            after = service.probe()
+            assert after.verdict is SolveResult.SAT
+            assert -1 in after.model and 2 in after.model
+            assert service.probe([1]).verdict is SolveResult.UNSAT
+            summary = service.summary()
+            assert summary["calls"] == 3
+            assert "died" in summary["service"]["fallback"]
+            assert summary["service"]["counters"][
+                "service.worker_crashes"] == 2
 
 
 # --- descent-level crash handling and fallback -----------------------------
@@ -195,7 +230,7 @@ class TestDescentCrashHandling:
                             solver_factory=fragile_factory),
         ]
         result = minimize_sum(cnf, lits, parallel=2,
-                              portfolio_members=members, persistent=True)
+                              portfolio_members=members)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         service = result.portfolio["service"]
@@ -205,7 +240,7 @@ class TestDescentCrashHandling:
                      if w["name"] == "fragile"]
         assert not fragile["alive"] and fragile["error"]
 
-    def test_all_workers_crash_falls_back_to_one_shot(self):
+    def test_all_workers_crash_falls_back_to_serial(self):
         cnf, lits = _descent_cnf()
         members = [
             PortfolioMember("fragile-a", SolverConfig(random_seed=1),
@@ -214,29 +249,40 @@ class TestDescentCrashHandling:
                             solver_factory=fragile_factory),
         ]
         # The service survives the first probe, loses every worker on the
-        # second, and the descent finishes on one-shot races (where each
-        # fresh fragile solver gets to solve exactly once).
+        # second, and the descent finishes on the in-process fallback —
+        # a default Solver, so the fragile factory cannot crash it too.
         result = minimize_sum(cnf, lits, parallel=2,
-                              portfolio_members=members, persistent=True)
+                              portfolio_members=members)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
+        assert result.portfolio["calls"] == result.solve_calls
         service = result.portfolio["service"]
         assert service["counters"]["service.worker_crashes"] == 2
-        assert service["fallback"]
+        assert "died" in service["fallback"]
 
-    def test_fallback_when_service_cannot_start(self, monkeypatch):
-        def refuse(self):
-            raise ServiceError("injected: fork unavailable")
-
-        monkeypatch.setattr(SolverService, "start", refuse)
+    def test_fallback_when_service_cannot_start(self, no_fork):
         cnf, lits = _descent_cnf()
-        result = minimize_sum(cnf, lits, parallel=2, persistent=True)
+        result = minimize_sum(cnf, lits, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         assert "injected" in result.portfolio["service"]["fallback"]
+        # The fallback's solver counters reach the descent's stats.
+        assert result.solver_stats["solve_calls"] == result.solve_calls
+
+    def test_lazy_fallback_when_service_cannot_start(self, no_fork):
+        serial = solve_lazy_verification(
+            _lazy_encoding(running_example())
+        )
+        fallback = solve_lazy_verification(
+            _lazy_encoding(running_example()), parallel=2
+        )
+        assert fallback.satisfiable == serial.satisfiable
+        assert fallback.solve_calls == serial.solve_calls
+        assert fallback.refiner.rounds == serial.refiner.rounds
+        assert "injected" in fallback.portfolio["service"]["fallback"]
 
 
-# --- differential: serial vs one-shot vs persistent service ----------------
+# --- differential: serial vs service descents -----------------------------
 
 @needs_fork
 class TestServiceDifferential:
@@ -244,15 +290,12 @@ class TestServiceDifferential:
         study = running_example()
         net = study.discretize()
         serial = generate_layout(net, study.schedule, study.r_t_min)
-        oneshot = generate_layout(net, study.schedule, study.r_t_min,
-                                  parallel=2, persistent=False)
         service = generate_layout(net, study.schedule, study.r_t_min,
-                                  parallel=2, persistent=True)
-        for raced in (oneshot, service):
-            assert raced.satisfiable == serial.satisfiable
-            assert raced.objective_value == serial.objective_value
-            assert raced.proven_optimal == serial.proven_optimal
-        assert service.portfolio["persistent"] is True
+                                  parallel=2)
+        assert service.satisfiable == serial.satisfiable
+        assert service.objective_value == serial.objective_value
+        assert service.proven_optimal == serial.proven_optimal
+        assert serial.portfolio is None
         counters = service.portfolio["service"]["counters"]
         assert counters["service.probes"] == service.solve_calls
         # record_descent merged the session counters into task metrics.
@@ -264,25 +307,75 @@ class TestServiceDifferential:
         study = running_example()
         net = study.discretize()
         serial = optimize_schedule(net, study.schedule, study.r_t_min)
-        oneshot = optimize_schedule(net, study.schedule, study.r_t_min,
-                                    parallel=2, persistent=False)
         service = optimize_schedule(net, study.schedule, study.r_t_min,
-                                    parallel=2, persistent=True)
-        for raced in (oneshot, service):
-            assert raced.satisfiable == serial.satisfiable
-            assert raced.objective_value == serial.objective_value
-            assert raced.proven_optimal == serial.proven_optimal
+                                    parallel=2)
+        assert service.satisfiable == serial.satisfiable
+        assert service.objective_value == serial.objective_value
+        assert service.proven_optimal == serial.proven_optimal
 
     def test_persistent_generation_is_reproducible(self, micro_net,
                                                    crossing_schedule):
         first = generate_layout(micro_net, crossing_schedule, 1.0,
-                                parallel=2, persistent=True)
+                                parallel=2)
         second = generate_layout(micro_net, crossing_schedule, 1.0,
-                                 parallel=2, persistent=True)
+                                 parallel=2)
         assert first.satisfiable == second.satisfiable
         assert first.objective_value == second.objective_value
         assert first.num_sections == second.num_sections
         assert first.time_steps == second.time_steps
+
+
+# --- trajectory parity: one loop serves the serial and service paths ------
+
+
+def _generation_trajectory(parallel: int, lazy: bool):
+    """Running Example generation's linear descent, with its improvements."""
+    study = running_example()
+    encoding = build_encoding(study.discretize(), study.schedule,
+                              study.r_t_min, None, lazy=lazy)
+    refine = (
+        LazyRefiner(encoding, strategy=DESCENT_LAZY_STRATEGY).refine
+        if lazy else None
+    )
+    costs: list[int] = []
+    result = minimize_sum(encoding.cnf, encoding.border_objective(),
+                          parallel=parallel, refine=refine,
+                          on_improvement=costs.append)
+    return costs, result
+
+
+@needs_fork
+class TestTrajectoryParity:
+    """The service's primary member walks the serial trajectory exactly:
+    same improvements, same probe count, same refinement rounds."""
+
+    @pytest.mark.parametrize("lazy, probes, first", [
+        (False, 9, 8),
+        (True, 7, 4),
+    ])
+    def test_generation_descent(self, lazy, probes, first):
+        serial_costs, serial = _generation_trajectory(1, lazy)
+        raced_costs, raced = _generation_trajectory(2, lazy)
+        assert serial_costs[0] == first and serial_costs[-1] == 1
+        assert serial.solve_calls == probes
+        assert raced_costs == serial_costs
+        assert raced.solve_calls == serial.solve_calls
+        assert raced.portfolio["calls"] == raced.solve_calls
+        assert "fallback" not in raced.portfolio["service"]
+
+    @pytest.mark.parametrize("study, clauses", [
+        (running_example, 3348),
+        (complex_layout, 8297),
+    ])
+    def test_lazy_verification(self, study, clauses):
+        outcomes = []
+        for parallel in (1, 2):
+            encoding = _lazy_encoding(study())
+            outcome = solve_lazy_verification(encoding, parallel=parallel)
+            outcomes.append((outcome.satisfiable, outcome.solve_calls,
+                             outcome.refiner.rounds,
+                             encoding.cnf.num_clauses))
+        assert outcomes[0] == outcomes[1] == (False, 2, 1, clauses)
 
 
 # --- trace round-trip: probes ship O(delta), not O(|CNF|) ------------------
@@ -294,7 +387,7 @@ class TestClausesShippedTrace:
         try:
             cnf, lits = _descent_cnf()
             base_clauses = cnf.num_clauses
-            result = minimize_sum(cnf, lits, parallel=2, persistent=True)
+            result = minimize_sum(cnf, lits, parallel=2)
             records = trace.export_spans()
         finally:
             trace.reset()

@@ -74,7 +74,7 @@ class TestServiceFaults:
         # keeps going on the survivor and the crash is counted.
         cnf, obj = _staircase()
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=2)):
-            result = minimize_sum(cnf, obj, parallel=2, persistent=True)
+            result = minimize_sum(cnf, obj, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
         service = result.portfolio["service"]
@@ -83,7 +83,7 @@ class TestServiceFaults:
     def test_worker_kill_at_startup_downgrades_gracefully(self):
         cnf, obj = _staircase()
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=0)):
-            result = minimize_sum(cnf, obj, parallel=2, persistent=True)
+            result = minimize_sum(cnf, obj, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
 
@@ -109,7 +109,7 @@ class TestServiceFaults:
         cnf, obj = _staircase()
         with injected(FaultPlan(slow_member="neg-phase",
                                 slow_start_s=0.2)):
-            result = minimize_sum(cnf, obj, parallel=2, persistent=True)
+            result = minimize_sum(cnf, obj, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
 
@@ -173,9 +173,9 @@ class TestLazyFaults:
 
     def test_service_death_mid_refinement_falls_back(self):
         # A single-member service that dies at probe 2 leaves no
-        # survivors (ServiceDeadError); the loop must replay the round
-        # through the one-shot portfolio — over the *refined* clause
-        # set — and still conclude UNSAT.
+        # survivors; the service must answer the round on its serial
+        # fallback — over the *refined* clause set, with no fault hook
+        # that could kill the parent too — and still conclude UNSAT.
         from repro.encoding.lazy import solve_lazy_verification
         from repro.network.sections import VSSLayout
         from repro.sat.portfolio import diversified_members
@@ -189,8 +189,13 @@ class TestLazyFaults:
                 encoding, parallel=2, members=diversified_members(1)
             )
         assert not outcome.satisfiable
-        assert outcome.refiner.rounds >= 1
-        assert "fallback" in outcome.portfolio["service"]
+        assert outcome.refiner.rounds == 1
+        assert outcome.solve_calls == 2
+        # The fallback loaded the round's refinement clauses: its answer
+        # is the clean run's UNSAT, not the relaxation's SAT.
+        service = outcome.portfolio["service"]
+        assert "died" in service["fallback"]
+        assert service["counters"]["service.worker_crashes"] == 1
 
     def test_worker_kill_mid_lazy_descent_survives(self):
         # The lazy generation descent re-solves every SAT probe until
@@ -199,8 +204,7 @@ class TestLazyFaults:
         net, schedule, r_t = self._running_example()
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=2)):
             result = generate_layout(
-                net, schedule, r_t, parallel=2, persistent=True,
-                lazy=True,
+                net, schedule, r_t, parallel=2, lazy=True,
             )
         assert result.satisfiable and result.proven_optimal
         assert result.objective_value == 1  # the clean-run optimum

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -301,6 +302,28 @@ class TestGatewayEndToEnd:
         bad_scenario = gateway.request({"task": "verify"})
         assert not bad_scenario["ok"]
         assert gateway.status()["ok"]
+
+    def test_persistent_param_is_rejected(self, gateway):
+        # Descents have one parallel path and no switch to pick another:
+        # `persistent` is an unknown parameter, and the connection that
+        # sent it keeps serving.
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(120)
+            sock.connect(gateway.socket_path)
+            with sock.makefile("rwb") as stream:
+                for task in ("generate", "optimize"):
+                    payload = _inline_payload(
+                        task, params={"persistent": True}
+                    )
+                    stream.write(json.dumps(payload).encode() + b"\n")
+                    stream.flush()
+                    response = json.loads(stream.readline())
+                    assert not response["ok"]
+                    assert response["kind"] == "request"
+                    assert "persistent" in response["error"]
+                stream.write(b'{"op": "status"}\n')
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
 
     def test_concurrent_clients_agree(self, gateway):
         import threading

@@ -2,9 +2,9 @@
 
 The acceptance properties of the resilience layer:
 
-* a deadline ends every path (serial, one-shot portfolio, persistent
-  service) with the best-so-far result, near the budget, never with an
-  exception or a hang;
+* a deadline ends every path (serial, solver service) with the
+  best-so-far result, near the budget, never with an exception or a
+  hang;
 * a SIGKILLed descent resumes from its checkpoint and reaches the same
   optimum with strictly fewer probes;
 * a batch whose worker dies recovers the lost jobs (retry pools, then
@@ -191,20 +191,19 @@ class TestDescentDeadline:
         assert result.solver_stats.get("deadline_hits", 0) >= 1
 
 
-# --- task-level deadline acceptance (all three execution paths) ------------
+# --- task-level deadline acceptance (both execution paths) ----------------
 
 
 class TestTaskDeadlineAcceptance:
     BUDGET_S = 2.0
 
-    def _run(self, parallel: int, persistent: bool):
+    def _run(self, parallel: int):
         study = running_example()
         net = study.discretize()
         start = time.perf_counter()
         result = optimize_schedule(
             net, study.schedule, study.r_t_min,
-            parallel=parallel, persistent=persistent,
-            timeout_s=self.BUDGET_S,
+            parallel=parallel, timeout_s=self.BUDGET_S,
         )
         elapsed = time.perf_counter() - start
         assert result.satisfiable
@@ -217,15 +216,11 @@ class TestTaskDeadlineAcceptance:
         assert result.metrics.get("deadline.descent_timeouts", 0) >= 1
 
     def test_serial(self, slow_solves):
-        self._run(parallel=1, persistent=False)
-
-    @needs_fork
-    def test_one_shot_portfolio(self, slow_solves):
-        self._run(parallel=2, persistent=False)
+        self._run(parallel=1)
 
     @needs_fork
     def test_persistent_service(self, slow_solves):
-        self._run(parallel=2, persistent=True)
+        self._run(parallel=2)
 
 
 # --- checkpoint / resume ---------------------------------------------------
@@ -333,9 +328,9 @@ class TestCheckpointResume:
         proc.join(timeout=60)
         assert proc.exitcode == -signal.SIGKILL
 
-        # Resume the serial run's checkpoint on the persistent portfolio.
+        # Resume the serial run's checkpoint on the solver service.
         cnf, obj = _staircase()
-        resumed = minimize_sum(cnf, obj, parallel=2, persistent=True,
+        resumed = minimize_sum(cnf, obj, parallel=2,
                                checkpoint_path=path, resume=True)
         assert resumed.resumed
         assert resumed.cost == 2

@@ -7,11 +7,13 @@ behaviour of the portfolio-routed optimisation descent.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.logic import CNF, VarPool
 from repro.opt import minimize_sum
-from repro.sat import PortfolioMember, SolverConfig
+from repro.sat import PortfolioMember, Solver, SolverConfig
 from repro.sat.portfolio import fork_available
 from repro.tasks import (
     BatchJob,
@@ -23,7 +25,6 @@ from repro.tasks import (
     verify_schedule,
 )
 from repro.tasks.batch import job_seed
-from tests.test_portfolio_runner import slow_factory
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -200,6 +201,24 @@ class TestTable1Jobs:
 
 # --- descent degradation (satellite: timeout -> best-known bound) ----------
 
+
+class _SlowBoundSolver(Solver):
+    """Answers unbounded probes at once; sleeps through every bounded
+    probe's wall budget, charging it to the deadline so the search that
+    follows gives up."""
+
+    def solve(self, assumptions=()):
+        budget = self.config.wall_deadline_s
+        if assumptions and budget is not None:
+            time.sleep(budget)
+            self.config.wall_deadline_s = 0.0
+        return super().solve(assumptions)
+
+
+def slow_bound_factory(config):
+    return _SlowBoundSolver(config)
+
+
 def _descent_cnf():
     """4 selectable literals, at least two must be true (minimum cost 2)."""
     cnf = CNF(VarPool())
@@ -217,9 +236,9 @@ class TestDescentDegradation:
         cnf, lits = _descent_cnf()
         slow = [
             PortfolioMember("slow-a", SolverConfig(random_seed=1),
-                            solver_factory=slow_factory),
+                            solver_factory=slow_bound_factory),
             PortfolioMember("slow-b", SolverConfig(random_seed=2),
-                            solver_factory=slow_factory),
+                            solver_factory=slow_bound_factory),
         ]
         result = minimize_sum(
             cnf, lits, strategy="linear", parallel=2,
