@@ -2,14 +2,15 @@
 
 Runs the running example's generation and optimization descents at
 ``parallel=1`` (one in-process incremental solver) and at
-``parallel=PROCESSES`` (the resident solver service: the CNF reaches the
-workers once per descent through ``fork``, probes send assumptions plus
-clause deltas, learned clauses are kept and shared).  Both settings run
-the same descent loop, and the service's primary member walks the
-serial search, so the benchmark asserts equal verdicts, optima,
-optimality proofs and linear-descent probe counts.  It records both wall
-times, their ratio and the clauses-shipped economics of the service
-under stable ``bench.*`` keys.
+``parallel=PROCESSES`` (the solver service: member 0, the primary,
+solves in process; the CNF reaches the helper workers once per descent
+through ``fork``, probes send them assumptions plus clause deltas, and
+they keep their learned clauses).  Both settings run the same descent
+loop, and the service's primary walks the serial search, so the
+benchmark asserts equal verdicts, optima, optimality proofs and
+linear-descent probe counts.  It records both wall times, their ratio
+and the clauses-shipped economics of the service under stable
+``bench.*`` keys.
 
 The ratio is recorded, never gated: it is a parallel speedup only on a
 host with more than ``PROCESSES`` CPUs (``bench.host_cpus``); on one or

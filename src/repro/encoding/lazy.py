@@ -27,9 +27,10 @@ in :mod:`repro.opt.minimize` plugs it in as a ``refine`` callback);
 :func:`solve_lazy_verification` is the complete loop for the plain
 verification task.  It runs on the probe session of
 :func:`repro.sat.service.open_session` — one in-process incremental
-solver at ``parallel=1``, the resident solver service above it — which
+solver at ``parallel=1``; above it the solver service, whose in-process
+primary is that same solver raced by resident helper workers — which
 loads each round's new clauses as the next probe's delta and decides on
-its own how a probe falls back.
+its own how to degrade.
 """
 
 from __future__ import annotations
@@ -285,7 +286,8 @@ class LazyOutcome:
     refiner: LazyRefiner
     solver_stats: dict
     solve_calls: int
-    #: The serial path's solver (for restart-cadence telemetry).
+    #: The session's in-process solver — under a service, the
+    #: primary's (for restart-cadence telemetry).
     solver: Solver | None = None
     #: Portfolio/service summary when run with ``parallel > 1``.
     portfolio: dict | None = field(default=None)
@@ -301,11 +303,12 @@ def solve_lazy_verification(
     """Run the solve→check→refine loop to a clean model or UNSAT.
 
     ``parallel = 1`` keeps one incremental solver in process;
-    ``parallel > 1`` races each round through the resident solver
-    service (``members`` overrides its diversified configurations),
-    which falls back to a serial solve over the refined clause set when
-    it cannot fork or loses every worker.  Each round's new clauses
-    travel as the next probe's delta.  ``strategy`` selects the
+    ``parallel > 1`` runs each round on the solver service (``members``
+    overrides its diversified configurations): member 0 solves in
+    process, as at ``parallel = 1``, while resident helper workers race
+    it to an UNSAT proof, and the service keeps going on member 0 alone
+    when it cannot fork or loses every helper.  Each round's new clauses
+    are the next probe's delta.  ``strategy`` selects the
     refiner's clause-selection cell (see :class:`LazyRefiner`).
     ``profile`` turns on the hot-path phase profiler in every solver the
     loop creates; the resulting ``profile.*`` counters ride in
@@ -335,14 +338,16 @@ def solve_lazy_verification(
             if refiner.refine(model) == 0:
                 true_vars = {lit for lit in model if lit > 0}
                 break
-        return LazyOutcome(
-            satisfiable=true_vars is not None,
-            true_vars=true_vars,
-            refiner=refiner,
-            solver_stats=session.solver_stats(),
-            solve_calls=calls,
-            solver=session.solver,
-            portfolio=session.summary(),
-        )
     finally:
         session.close()
+    # Read after close: a service folds in the helper replies that were
+    # still in flight when the last probe ended.
+    return LazyOutcome(
+        satisfiable=true_vars is not None,
+        true_vars=true_vars,
+        refiner=refiner,
+        solver_stats=session.solver_stats(),
+        solve_calls=calls,
+        solver=session.solver,
+        portfolio=session.summary(),
+    )

@@ -7,13 +7,13 @@ learned clauses across iterations, which is what makes the loop cheap.
 One descent loop serves every ``parallel`` setting, on the probe session
 that :func:`repro.sat.service.open_session` starts: one in-process
 incremental solver (:class:`~repro.sat.service.SerialSession`) at
-``parallel=1``; above it a resident portfolio of *incremental* workers
-for the whole descent (:class:`~repro.sat.service.SolverService`), which
-ships the CNF once, sends each probe only the assumptions plus the
-clause delta, and shares low-LBD learned clauses between members —
-racing *and* incrementality.  How a probe falls back (a serial solve
-when the service cannot fork or loses every worker) is the service's
-decision alone; the descent never sees it.
+``parallel=1``; above it a :class:`~repro.sat.service.SolverService`,
+whose in-process primary walks that same serial search while resident
+*incremental* helper workers race it to prove each probe UNSAT — the
+CNF reaches them once, each probe ships only the assumptions plus the
+clause delta, and the primary's low-LBD learned clauses feed them.
+How the service degrades (the primary alone, when it cannot fork or
+loses every helper) is its decision alone; the descent never sees it.
 
 The descent is *anytime*: ``wall_deadline_s`` bounds the whole descent
 (each probe gets the remaining budget, shipped all the way into the
@@ -173,17 +173,20 @@ def minimize_sum(
     it is discovered — useful for logging long optimisations.
 
     ``parallel > 1`` races every probe over that many diversified
-    configurations (``portfolio_members`` overrides them) on a resident
-    incremental solver service started once per descent, which falls
-    back to an in-process serial solve when it cannot fork or loses
-    every worker.  ``parallel=1`` is exactly the serial incremental
-    path (``portfolio`` is then None).  ``descent_timeout_s`` bounds
+    configurations (``portfolio_members`` overrides them) on a solver
+    service started once per descent: member 0 solves in process, as
+    the serial path does, and the others are resident helper workers
+    that can end a probe early with an UNSAT proof; the service keeps
+    probing on member 0 alone when it cannot fork or loses every
+    helper.  ``parallel=1`` is exactly the serial incremental path
+    (``portfolio`` is then None).  ``descent_timeout_s`` bounds
     each *bound-probing* call; ``wall_deadline_s`` bounds the whole
     descent — on expiry the result carries the best model and bounds
     found so far with ``status="timeout"``.
 
     ``checkpoint_path`` appends every proven fact (improving models,
-    lower bounds, learned unit facts) to a JSONL checkpoint;
+    lower bounds, the in-process solver's learned unit facts, at any
+    ``parallel``) to a JSONL checkpoint;
     ``resume=True`` restores the latest state from that file first —
     raising :class:`repro.opt.checkpoint.CheckpointError` when the file
     belongs to a different formula — and continues the descent from the
@@ -256,6 +259,10 @@ def minimize_sum(
             )
         finally:
             session.close()
+        # Read after close: a service folds in the helper replies that
+        # were still in flight when the last probe ended.
+        result.solver_stats = session.solver_stats()
+        result.portfolio = session.summary()
         result.fingerprint = fingerprint
         return result
     finally:
@@ -322,12 +329,12 @@ def _descend(
 
     def harvest_units() -> None:
         """Persist newly proven level-0 facts (assumption-free units)
-        from an in-process solver."""
-        solver = session.solver
-        if ckpt is None or solver is None:
+        of the session's in-process solver (a service's primary)."""
+        if ckpt is None:
             return
-        units = solver.export_learned(max_lbd=0, max_len=1, limit=256,
-                                      skip_keys=unit_keys)
+        units = session.solver.export_learned(
+            max_lbd=0, max_len=1, limit=256, skip_keys=unit_keys
+        )
         ckpt.units([u[0] for u in units if len(u) == 1])
 
     def timed_out_on(outcome: ProbeOutcome) -> bool:
@@ -389,8 +396,6 @@ def _descend(
             proven_optimal=proven,
             solve_calls=calls,
             strategy=strategy,
-            solver_stats=session.solver_stats(),
-            portfolio=session.summary(),
             status=status,
             lower_bound=lower,
             resumed=resumed,

@@ -81,6 +81,10 @@ class PortfolioMember:
             premises must be the original clauses).
         solver_factory: optional ``config -> Solver`` hook, used by tests to
             inject failing members; defaults to the plain constructor.
+            It runs where the member solves: in a forked worker for race
+            members and service helpers, but in the calling process for
+            member 0 of a :class:`~repro.sat.service.SolverService`, the
+            in-process primary.
     """
 
     name: str

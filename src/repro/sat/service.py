@@ -12,39 +12,51 @@ since the last probe are loaded as the next probe's delta, and
 * :class:`SerialSession` (``parallel <= 1``) keeps one incremental
   :class:`~repro.sat.Solver` in process — the serial search, with its
   learned clauses, activities and phases kept across probes.
-* :class:`SolverService` (``parallel > 1``) forks one long-lived worker
-  per :class:`~repro.sat.portfolio.PortfolioMember` **once per
-  session**.  The initial CNF travels to the workers for free via
-  ``fork`` and each probe ships only the assumption literals plus the
+* :class:`SolverService` (``parallel > 1``) runs member 0 of its
+  :class:`~repro.sat.portfolio.PortfolioMember` list, the *primary*, in
+  process as a :class:`SerialSession` — exactly the serial search — and
+  forks one long-lived *helper* worker per further member **once per
+  session**.  The initial CNF reaches the helpers for free via ``fork``
+  and each probe ships them only the assumption literals plus the
   clause *delta* (for example newly built totalizer layers) over a pipe
   — O(delta) traffic instead of O(|CNF|) per probe
-  (``service.clauses_shipped`` vs ``service.clauses_skipped``).  Deltas,
-  shared clauses, and harvested exports travel as flat ``array('i')``
-  buffers (:mod:`repro.sat.wire`), one pickled blob per probe instead of
-  one object per literal.  Between probes the parent harvests low-LBD
-  clauses from the probe's finishers (winner first) via
-  :meth:`Solver.export_learned`, dedups them by sorted-literal key, and
-  broadcasts them — bounded by a per-probe budget — to the other
-  members via :meth:`Solver.import_clauses` (``share.*`` counters).
+  (``service.clauses_shipped`` vs ``service.clauses_skipped``).  Deltas
+  and shared clauses travel as flat ``array('i')`` buffers
+  (:mod:`repro.sat.wire`), one pickled blob per probe instead of one
+  object per literal.
 
-An UNSAT answer is accepted from whichever member proves it first, while
-SAT *models* are only taken from the primary (lowest-index live) member,
-which also never imports foreign clauses — its search is exactly the
-serial incremental descent, so the reported models stay a pure function
-of the formula.  Losing members are cancelled *cooperatively*: a
-progress hook raises inside the search, the worker answers "cancelled",
-and its solver (state intact) is ready for the next probe.
+Helpers race the primary to prove a probe UNSAT.  A probe ends as soon
+as the primary answers, or as soon as a helper's UNSAT for it arrives:
+the primary's progress hook reads helper replies every
+``_CANCEL_CHECK_CONFLICTS`` conflicts and stops the primary
+cooperatively (its solver stays ready for the next probe), and that
+UNSAT, with its core, becomes the answer.  SAT *models* come only from
+the primary, which also never imports foreign clauses: its search is
+the serial one, except where a helper's UNSAT cuts a probe short.  When
+a probe ends, its id is written to a shared cancel token and ``probe``
+returns: helpers notice the token at their next check, answer
+"cancelled", and the parent reads those replies later — no probe waits
+on a helper.  A helper that still
+owes a reply is *busy*: it gets no new probe, the clauses appended
+meanwhile accumulate as its next delta (one shipped offset per helper),
+and once its reply is read — between probes or by the primary's hook —
+it joins the probe in progress, if any.  So no helper ever has more
+than one probe in its pipe.  Late replies keep every check: their
+counters reach ``solver_stats()``, their trace spans and events are
+merged, and a definitive helper verdict that contradicts the primary's
+for the same probe raises :class:`PortfolioDisagreementError` no later
+than the session's next ``probe()`` or its ``close()``.  Low-LBD
+clauses the primary learned (and, with several helpers, those a helper
+learned) are deduped by sorted-literal key and queued for the other
+helpers' next probes under a per-probe budget (``share.*`` counters).
 
-Workers that crash or stop responding are terminated and recorded
-(``service.worker_crashes``); the survivors keep the session alive.
-This module alone decides how a probe falls back: when the service
-cannot fork, loses its last worker, or ends a race UNKNOWN with no
-deadline in play, it retires its workers and answers that probe and
-every later one on an in-process :class:`SerialSession` built from
-member 0's configuration with the default :class:`~repro.sat.Solver`
-factory (a custom factory may be what crashed).  The fallback runs no
-worker fault hooks, loads every clause appended so far, and is recorded
-as ``summary()["service"]["fallback"]``.
+Helpers that crash, close their pipe, or still owe a reply
+``_CANCEL_GRACE_S`` after their probe ended are terminated and recorded
+(``service.worker_crashes``).  This module alone decides how the session
+degrades: when it cannot fork, or every helper has died, it retires the
+helpers and keeps probing on the primary — no solver is rebuilt and no
+clause reloaded — recorded as ``summary()["service"]["fallback"]``.
+Fault hooks (:mod:`repro.testing.faults`) fire only in helper workers.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ import os
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
+from typing import Any, Callable
 
 from repro.obs import events as obs_events
 from repro.obs import trace
@@ -73,29 +85,31 @@ from repro.sat.types import SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
 from repro.testing import faults
 
-#: Poll interval while waiting for worker replies (seconds).
-_POLL_S = 0.05
-
-#: Conflicts between cancellation checks inside a worker's search.  Small
-#: enough that a cancelled worker answers within milliseconds on these
-#: encodings, large enough to be invisible in the solve profile.
+#: Conflicts between cancellation checks inside a helper's search, and
+#: between the primary's checks for helper replies.  Small enough that a
+#: cancelled helper answers within milliseconds on these encodings,
+#: large enough to be invisible in the solve profile.
 _CANCEL_CHECK_CONFLICTS = 128
 
-#: How long a cancelled worker may take to flush its reply before it is
-#: presumed wedged and terminated (seconds).
+#: How long a helper may still owe a reply after its probe ended before
+#: it is presumed wedged, terminated and counted as crashed (seconds).
 _CANCEL_GRACE_S = 10.0
 
-#: Cancellation checks between progress events a worker emits while the
+#: How long ``close()`` waits for the helpers to flush the replies they
+#: owe and exit before it terminates them (seconds).
+_CLOSE_WAIT_S = 1.0
+
+#: Cancellation checks between progress events a session emits while the
 #: event stream is enabled (128 conflicts per check; tests shrink this).
 _PROGRESS_EVENT_CHECKS = 16
 
 
-#: Learned-clause exchange between probes: only clauses with LBD at or
-#: below this are exported ...
+#: Learned-clause exchange: only clauses with LBD at or below this are
+#: exported ...
 _SHARE_MAX_LBD = 4
 #: ... and at most this long ...
 _SHARE_MAX_LEN = 8
-#: ... and at most this many are broadcast after one probe.
+#: ... and at most this many are queued for the helpers per probe.
 _SHARE_BUDGET = 128
 
 
@@ -115,22 +129,25 @@ class ProbeOutcome:
     wall_time_s: float = 0.0
     cold: bool = False
     timed_out: bool = False
-    #: Per-probe solver counters summed over every member that replied.
+    #: Per-probe counters of the in-process solver (a service's
+    #: primary; its helpers' counters reach ``solver_stats()``).
     stats: dict = field(default_factory=dict)
 
 
 class _ProbeCancelled(Exception):
-    """Raised inside a worker's search when the parent cancels the probe."""
+    """Raised inside a search to stop it cooperatively."""
 
 
-def _service_worker(index, member, num_vars, clauses, conn, cancel,
+def _service_worker(index, member, num_vars, clauses, conn, cancelled,
                     child_trace, child_events=False):
-    """Worker entry point: build one incremental solver, serve probes.
+    """Helper entry point: build one incremental solver, serve probes.
 
     The CNF snapshot arrives through ``fork`` (no pickling); afterwards
     the pipe carries only probe commands (assumptions + clause deltas +
-    shared clauses) and one reply per probe.  The solver persists for
-    the whole session, keeping its learned clauses across probes.
+    shared clauses) and one reply per probe.  ``cancelled`` is the
+    shared cancel token: the id of the last probe the parent has ended.
+    The solver persists for the whole session, keeping its learned
+    clauses across probes.
     """
     if child_trace:
         trace.install(trace.fork_child(tid=f"service:{member.name}"))
@@ -164,9 +181,12 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
     exported_keys: set[tuple[int, ...]] = set()
     checks_seen = 0
     parent_pid = os.getppid()
+    probe_id = 0
 
     def check_cancel(snapshot) -> None:
-        if cancel.is_set():
+        # Never at a level-0 conflict: the search is about to record it
+        # as UNSAT, and interrupting there would lose it.
+        if cancelled.value >= probe_id and snapshot["decision_level"]:
             raise _ProbeCancelled
         if os.getppid() != parent_pid:
             # The parent died mid-probe (e.g. a gateway pool worker was
@@ -208,15 +228,18 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             # never conflict (where the cancel hook below cannot fire).
             solver.config.wall_deadline_s = timeout_s
             solver.on_progress(check_cancel, _CANCEL_CHECK_CONFLICTS)
-            cancelled = False
+            # A probe that ended while this helper was busy is loaded
+            # (the delta is part of the session) but not solved.
+            cancelled_now = cancelled.value >= probe_id
+            verdict = SolveResult.UNKNOWN
             with trace.span("service.probe", member=member.name,
                             probe=probe_id, delta=len(delta)) as span:
-                try:
-                    verdict = solver.solve(list(assumptions))
-                except _ProbeCancelled:
-                    cancelled = True
-                    verdict = SolveResult.UNKNOWN
-                span.add(verdict=verdict.value, cancelled=cancelled)
+                if not cancelled_now:
+                    try:
+                        verdict = solver.solve(list(assumptions))
+                    except _ProbeCancelled:
+                        cancelled_now = True
+                span.add(verdict=verdict.value, cancelled=cancelled_now)
             solver.on_progress(None)
             learned = solver.export_learned(
                 _SHARE_MAX_LBD, _SHARE_MAX_LEN, limit=_SHARE_BUDGET,
@@ -224,9 +247,7 @@ def _service_worker(index, member, num_vars, clauses, conn, cancel,
             )
             reply.update(
                 verdict=verdict.value,
-                cancelled=cancelled,
-                model=(solver.model()
-                       if verdict is SolveResult.SAT else None),
+                cancelled=cancelled_now,
                 core=(solver.unsat_core()
                       if verdict is SolveResult.UNSAT else []),
                 stats=solver.stats.delta(before).as_dict(),
@@ -260,7 +281,9 @@ class SerialSession:
     :meth:`Solver.add_clauses` call.  The solver keeps its learned
     clauses, activities and phases across probes: this is the serial
     incremental search.  ``config`` is copied, because every probe
-    retunes the copy's wall deadline.
+    retunes the copy's wall deadline.  ``solver_factory`` builds the
+    solver (default: the plain :class:`Solver`); :class:`SolverService`
+    passes its primary member's.
     """
 
     def __init__(
@@ -268,11 +291,13 @@ class SerialSession:
         num_vars: int,
         clauses: list[list[int]],
         config: SolverConfig | None = None,
+        solver_factory: Callable[[SolverConfig], Solver] | None = None,
     ):
         self._num_vars = num_vars
         self._clauses = clauses
         self._config = dataclasses.replace(config or SolverConfig())
         self._own_deadline_s = self._config.wall_deadline_s
+        self._factory = solver_factory or Solver
         self._loaded = 0
         self._probes = 0
         self._open = False
@@ -283,7 +308,7 @@ class SerialSession:
         """Build the solver and load the current clauses."""
         if self.solver is not None:
             raise ServiceError("session already started")
-        solver = Solver(self._config)
+        solver = self._factory(self._config)
         progress = obs_events.progress_callback()
         if progress is not None:
             solver.on_progress(progress)
@@ -354,12 +379,55 @@ class SerialSession:
             self._loaded = len(self._clauses)
 
 
+@dataclass
+class _Helper:
+    """The parent's view of one helper worker."""
+
+    index: int  # member index (1..N-1)
+    proc: Any
+    conn: Any
+    #: Clauses of the session's list this helper has received.
+    shipped: int
+    #: Shared clauses queued for its next probe.
+    imports: list = field(default_factory=list)
+    #: Probe whose reply it still owes (0: idle).
+    owed: int = 0
+    #: When that probe ended (None while it runs): the grace clock.
+    ended_at: float | None = None
+    alive: bool = True
+
+
+def _add_counts(total: dict, stats: dict | None) -> None:
+    for key, value in (stats or {}).items():
+        if isinstance(value, (int, float)):
+            total[key] = total.get(key, 0) + value
+
+
+def _with_progress(check: Callable, progress: Callable | None) -> Callable:
+    """``check`` on every call, plus the event-stream ``progress`` feed on
+    every ``_PROGRESS_EVENT_CHECKS``-th (about the serial feed's 2000
+    conflicts at 128 conflicts per check)."""
+    if progress is None:
+        return check
+    calls = 0
+
+    def hook(snapshot) -> None:
+        nonlocal calls
+        calls += 1
+        if calls % _PROGRESS_EVENT_CHECKS == 0:
+            progress(snapshot)
+        check(snapshot)
+
+    return hook
+
+
 class SolverService:
-    """A resident portfolio of incremental solvers for one clause set.
+    """An in-process primary solver raced by resident helper workers.
 
     ``clauses`` is held *by reference*: clauses appended by the caller
     after :meth:`start` (e.g. totalizer layers built between probes) are
-    shipped automatically as the next probe's delta.
+    loaded by the primary and shipped to the helpers automatically as
+    the next probe's delta.  See the module docstring for the protocol.
 
     Typical usage::
 
@@ -371,11 +439,12 @@ class SolverService:
             probe = service.probe([bound_lit])       # ships only the delta
         finally:
             service.close()
-    """
 
-    #: Probes run in worker processes: no in-process solver to read
-    #: (the probe-session counterpart of :attr:`SerialSession.solver`).
-    solver = None
+    :attr:`solver` is the primary's solver.  :meth:`worker_pids` and
+    :attr:`alive_count` cover the helper processes (members 1..N-1);
+    ``summary()["service"]["workers"]`` lists every member, the primary
+    first.
+    """
 
     def __init__(
         self,
@@ -383,7 +452,6 @@ class SolverService:
         clauses: list[list[int]],
         members: list[PortfolioMember] | None = None,
         processes: int | None = None,
-        cancel_grace_s: float | None = None,
     ):
         if processes is None:
             processes = len(members) if members else 2
@@ -394,85 +462,122 @@ class SolverService:
         self._members = list(members[: max(processes, 1)])
         self._num_vars = num_vars
         self._clauses = clauses
-        self._cancel_grace_s = (
-            cancel_grace_s if cancel_grace_s is not None else _CANCEL_GRACE_S
-        )
         self.metrics = MetricsRegistry()
         self.reports = [
             WorkerReport(name=m.name, config=member_config_dict(m))
             for m in self._members
         ]
-        self._procs: list = []
-        self._conns: list = []
-        self._cancels: list = []
-        self._alive: list[bool] = []
-        self._pending_imports: list[list[list[int]]] = []
-        self._seen_shared: set[tuple[int, ...]] = set()
-        self._shipped = 0
+        self._primary: SerialSession | None = None
+        self._helpers: list[_Helper] = []
+        #: Shared cancel token: the id of the last probe that ended.
+        self._cancelled = None
         self._probe_id = 0
+        self._probing = False
+        self._probe_args: tuple = ()
+        self._helper_unsat: tuple[int, dict] | None = None
+        #: First definitive verdict per probe that a helper still owes.
+        self._verdicts: dict[int, tuple[int, str]] = {}
+        self._disagreement = ""
+        self._loaded = 0
+        self._primary_keys: set[tuple[int, ...]] = set()
+        self._seen_shared: set[tuple[int, ...]] = set()
+        self._share_left = _SHARE_BUDGET
         self._started = False
-        self._fallback: SerialSession | None = None
         self._fallback_reason = ""
-        self._stats: dict = {}
+        self._helper_stats: dict = {}
         self._winners: dict[str, int] = {}
         self._wall = 0.0
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "SolverService":
-        """Fork the resident workers; the current clauses travel free.
+        """Fork the helpers, then build and load the primary.
 
-        A platform without ``fork``, or a fork that fails, starts the
-        serial fallback instead (see module docstring).
+        The current clauses reach the helpers through ``fork``; the
+        primary's solver is allocated after the fork, so its arrays are
+        never copy-on-write shared.  A platform without ``fork``, or a
+        fork that fails, leaves the primary probing alone (see module
+        docstring).
         """
         if self._started:
             raise ServiceError("service already started")
         self._started = True
         self.metrics.inc("service.sessions")
         self.metrics.counter("service.worker_crashes")  # stable key
+        reason = self._fork_helpers() if len(self._members) > 1 else ""
+        member = self._members[0]
+        self._primary = SerialSession(
+            self._num_vars, self._clauses, member.config,
+            solver_factory=member.solver_factory,
+        ).start()
+        solver = self._primary.solver
+        # The primary reads the helpers' replies from its progress hook;
+        # the event-stream progress feed rides along.
+        solver.on_progress(
+            _with_progress(self._check, obs_events.progress_callback()),
+            _CANCEL_CHECK_CONFLICTS,
+        )
+        self._loaded = len(self._clauses)
+        self._note_kernel(0, solver.kernel)
+        if reason:
+            self._fall_back(reason)
+        self.metrics.set("service.workers", len(self._helpers))
+        self.metrics.inc("service.clauses_loaded", self._loaded)
+        trace.event("service.start", workers=len(self._helpers),
+                    clauses=self._loaded)
+        return self
+
+    def _fork_helpers(self) -> str:
+        """Fork one helper per member after the primary; returns why the
+        service must fall back, or ``""``."""
         if not fork_available():
-            self._fall_back("platform lacks the fork start method")
-            return self
+            return "platform lacks the fork start method"
         ctx = multiprocessing.get_context("fork")
-        self._shipped = len(self._clauses)
+        self._cancelled = ctx.RawValue("q", 0)
         child_trace = trace.enabled()
         child_events = obs_events.enabled()
+        shipped = len(self._clauses)
         try:
-            for i, member in enumerate(self._members):
+            for index in range(1, len(self._members)):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                self._conns.append(parent_conn)
-                cancel = ctx.Event()
                 proc = ctx.Process(
                     target=_service_worker,
-                    args=(i, member, self._num_vars, self._clauses,
-                          child_conn, cancel, child_trace, child_events),
+                    args=(index, self._members[index], self._num_vars,
+                          self._clauses, child_conn, self._cancelled,
+                          child_trace, child_events),
                     daemon=True,
                 )
                 try:
                     proc.start()
+                except OSError:
+                    parent_conn.close()
+                    raise
                 finally:
                     child_conn.close()
-                self._procs.append(proc)
-                self._cancels.append(cancel)
-                self._alive.append(True)
-                self._pending_imports.append([])
+                self._helpers.append(
+                    _Helper(index, proc, parent_conn, shipped)
+                )
         except OSError as exc:
-            self._fall_back(f"could not fork a worker: {exc}")
-            return self
-        self.metrics.set("service.workers", len(self._members))
-        self.metrics.inc("service.clauses_loaded", self._shipped)
-        trace.event("service.start", workers=len(self._members),
-                    clauses=self._shipped)
-        return self
+            return f"could not fork a worker: {exc}"
+        return ""
 
     def close(self) -> None:
-        """Shut the workers (or the serial fallback) down (idempotent)."""
+        """Read the replies the helpers owe, reap them (idempotent).
+
+        Raises :class:`PortfolioDisagreementError` when a reply read
+        since the last probe contradicts another member's verdict.
+        """
         if not self._started:
             return
-        self._shutdown_workers()
-        if self._fallback is not None:
-            self._fallback.close()
         self._started = False
+        self._retire()
+        if self._primary is not None:
+            self._primary.close()
+            # The hook refers back to this service: dropping it breaks
+            # the cycle, so the solver is freed with the service instead
+            # of waiting for the cyclic collector.
+            self._primary.solver.on_progress(None)
+        self._raise_disagreement()
 
     def __enter__(self) -> "SolverService":
         return self.start() if not self._started else self
@@ -484,28 +589,39 @@ class SolverService:
     # -- introspection -------------------------------------------------
 
     @property
+    def solver(self) -> Solver | None:
+        """The primary's solver (None before :meth:`start`)."""
+        return self._primary.solver if self._primary is not None else None
+
+    @property
     def alive_count(self) -> int:
-        """Number of workers still serving probes."""
-        return sum(self._alive)
+        """Number of helpers still serving probes."""
+        return sum(helper.alive for helper in self._helpers)
 
     def worker_pids(self) -> list[int | None]:
-        """PIDs of the worker processes (None for dead workers)."""
-        return [proc.pid if alive else None
-                for proc, alive in zip(self._procs, self._alive)]
+        """PIDs of the helper processes, members 1..N-1 in order (None
+        for a dead or retired helper); the primary runs in this
+        process."""
+        return [helper.proc.pid if helper.alive else None
+                for helper in self._helpers]
 
     def summary(self) -> dict:
         """The session's portfolio summary (for results and telemetry).
 
         ``calls``, ``winners`` and ``wall_time_s`` cover every probe;
-        ``service`` holds the session counters, the per-worker reports
-        and, after a fallback, its reason under ``fallback``.
+        ``service`` holds the session counters, one worker entry per
+        member (the in-process primary first, always alive) and, after a
+        fallback, its reason under ``fallback``.
         """
+        alive = [True] + [False] * (len(self._members) - 1)
+        for helper in self._helpers:
+            alive[helper.index] = helper.alive
         service = {
             "counters": self.metrics.as_dict(),
             "workers": [
-                {"name": r.name, "error": r.error, "alive": alive,
+                {"name": r.name, "error": r.error, "alive": ok,
                  "kernel": r.kernel}
-                for r, alive in zip(self.reports, self._alive)
+                for r, ok in zip(self.reports, alive)
             ],
         }
         if self._fallback_reason:
@@ -519,8 +635,10 @@ class SolverService:
         }
 
     def solver_stats(self) -> dict:
-        """Solver counters summed over every probe's replies."""
-        return dict(self._stats)
+        """The primary's lifetime counters plus every helper reply's."""
+        stats = self._primary.solver_stats() if self._primary else {}
+        _add_counts(stats, self._helper_stats)
+        return stats
 
     # -- probing -------------------------------------------------------
 
@@ -529,12 +647,11 @@ class SolverService:
         assumptions: list[int] | tuple[int, ...] = (),
         timeout_s: float | None = None,
     ) -> ProbeOutcome:
-        """Race one incremental solve over the resident workers.
+        """Race one incremental solve: the primary against the helpers.
 
-        Ships only the clauses appended since the last probe plus the
-        assumption literals.  When no worker is left, or the race ends
-        UNKNOWN without ``timeout_s``, the probe is answered by the
-        serial fallback (see module docstring).  Raises
+        Loads (and ships to idle helpers) only the clauses appended since
+        the last probe plus the assumption literals, and returns as soon
+        as the primary answers or a helper proves UNSAT.  Raises
         :class:`PortfolioDisagreementError` when two members contradict
         each other.
         """
@@ -542,85 +659,51 @@ class SolverService:
             raise ServiceError("service not started")
         start = time.perf_counter()
         self._probe_id += 1
-        self.metrics.inc("service.probes")
-        outcome = None
-        if self._fallback is None:
-            outcome = self._race(tuple(assumptions), timeout_s)
-            if outcome is None:
-                self._fall_back("all service workers have died")
-            elif outcome.verdict is SolveResult.UNKNOWN and timeout_s is None:
-                self._fall_back("the race ended UNKNOWN with no deadline")
-                outcome = None
-        if outcome is None:
-            if timeout_s is not None:  # what the failed race left over
-                timeout_s = max(timeout_s - (time.perf_counter() - start),
-                                0.0)
-            outcome = self._fallback.probe(assumptions, timeout_s)
-            self._absorb(outcome.stats)
-        self._wall += time.perf_counter() - start
-        if outcome.winner_name:
-            self._winners[outcome.winner_name] = (
-                self._winners.get(outcome.winner_name, 0) + 1
-            )
-        return outcome
-
-    def _race(self, assumptions, timeout_s) -> ProbeOutcome | None:
-        """Race the probe over the live workers; None if none answers."""
-        alive = [i for i, ok in enumerate(self._alive) if ok]
-        if not alive:
-            return None
-        start = time.perf_counter()
         probe_id = self._probe_id
-        cold = probe_id == 1
-
-        prev = self._shipped
-        delta = self._clauses[prev:]
-        self._shipped = len(self._clauses)
         met = self.metrics
-        met.inc("service.clauses_shipped", len(delta))
+        met.inc("service.probes")
+        prev = self._loaded
+        self._loaded = len(self._clauses)
+        met.inc("service.clauses_shipped", self._loaded - prev)
         met.inc("service.clauses_skipped", prev)
         trace.counter("service.clauses_shipped",
-                      shipped=len(delta), skipped=prev)
+                      shipped=self._loaded - prev, skipped=prev)
 
-        sent: set[int] = set()
-        for i in alive:
-            imports = self._pending_imports[i]
-            self._pending_imports[i] = []
-            try:
-                self._conns[i].send(
-                    ("probe", probe_id, assumptions,
-                     pack_clauses(delta), pack_clauses(imports), timeout_s)
-                )
-                sent.add(i)
-            except (BrokenPipeError, OSError):
-                self._mark_dead(i, "worker pipe closed before the probe")
-        if not sent:
-            return None
+        self._poll()
+        self._expire_grace(start)
+        self._raise_disagreement()
+        self._probe_args = (probe_id, tuple(assumptions), timeout_s, start)
+        self._helper_unsat = None
+        self._share_left = _SHARE_BUDGET
+        self._probing = True
+        try:
+            for helper in self._helpers:
+                if helper.alive and not helper.owed:
+                    self._send(helper)
+            with trace.span("service.race", probe=probe_id,
+                            helpers=self.alive_count) as race_span:
+                outcome = self._solve_primary(assumptions, timeout_s)
+                race_span.add(verdict=outcome.verdict.name,
+                              winner=outcome.winner_name)
+        finally:
+            self._probing = False
+            self._end_probe(probe_id)
+        outcome.wall_time_s = time.perf_counter() - start
+        outcome.cold = probe_id == 1
+        self._share(0, self._primary_exports())
+        self._raise_disagreement()
 
-        with trace.span("service.race", probe=probe_id,
-                        workers=len(sent)) as race_span:
-            outcome = self._collect(probe_id, sent, timeout_s, start,
-                                    cold)
-            if outcome is None:
-                return None
-            race_span.add(verdict=outcome.verdict.name,
-                          winner=outcome.winner_name)
         met.observe("service.probe_wall_s", outcome.wall_time_s)
         met.observe(
-            "service.cold_probe_wall_s" if cold
+            "service.cold_probe_wall_s" if outcome.cold
             else "service.warm_probe_wall_s",
             outcome.wall_time_s,
         )
         if outcome.winner_name:
             met.inc(f"service.wins.{outcome.winner_name}")
-        if (
-            timeout_s is not None
-            and outcome.verdict is SolveResult.UNKNOWN
-            and not outcome.timed_out
-        ):
-            # Workers hit their own wall deadline before the parent's
-            # cancel fired: same meaning, same flag.
-            outcome.timed_out = True
+            self._winners[outcome.winner_name] = (
+                self._winners.get(outcome.winner_name, 0) + 1
+            )
         if outcome.timed_out:
             met.inc("service.probe_timeouts")
             trace.event("deadline.probe_timeout", probe=probe_id,
@@ -631,269 +714,268 @@ class SolverService:
                         verdict=outcome.verdict.value,
                         winner=outcome.winner_name,
                         wall_s=outcome.wall_time_s)
+        self._wall += outcome.wall_time_s
         return outcome
+
+    def _solve_primary(self, assumptions, timeout_s) -> ProbeOutcome:
+        """The primary's solve, or the helper UNSAT that stopped it."""
+        solver = self._primary.solver
+        before = solver.stats.snapshot()
+        try:
+            outcome = self._primary.probe(assumptions, timeout_s)
+        except _ProbeCancelled:
+            index, msg = self._helper_unsat
+            return ProbeOutcome(
+                verdict=SolveResult.UNSAT,
+                unsat_core=list(msg.get("core") or []),
+                winner=index,
+                winner_name=self._members[index].name,
+                stats=solver.stats.delta(before).as_dict(),
+            )
+        if outcome.verdict is not SolveResult.UNKNOWN:
+            outcome.winner = 0
+            outcome.winner_name = self._members[0].name
+            self._record_verdict(self._probe_id, 0, outcome.verdict.value)
+        return outcome
+
+    def _check(self, snapshot) -> None:
+        """The primary's progress hook: read the helper replies that are
+        ready; stop the primary once a helper proved the probe UNSAT."""
+        self._poll()
+        # Never at a level-0 conflict: the primary is about to record it
+        # as UNSAT, and interrupting there would lose it.
+        if self._helper_unsat is not None and snapshot["decision_level"]:
+            raise _ProbeCancelled
 
     # -- internals -----------------------------------------------------
 
-    def _fall_back(self, reason: str) -> None:
-        """Retire the workers; later probes go to an in-process solver."""
-        self._shutdown_workers()
-        self._fallback_reason = reason
-        trace.event("service.fallback", error=reason)
-        self._fallback = SerialSession(
-            self._num_vars, self._clauses, self._members[0].config
-        ).start()
-
-    def _shutdown_workers(self) -> None:
-        for conn, alive in zip(self._conns, self._alive):
-            if alive:
-                try:
-                    conn.send(("quit",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for proc in self._procs:
-            proc.join(timeout=1.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._alive = [False] * len(self._alive)
-
-    def _absorb(self, stats: dict) -> None:
-        for key, value in stats.items():
-            if isinstance(value, (int, float)):
-                self._stats[key] = self._stats.get(key, 0) + value
-
-    def _mark_dead(self, index: int, error: str, tb: str = "") -> None:
-        if not self._alive[index]:
-            return
-        self._alive[index] = False
-        report = self.reports[index]
-        report.error = report.error or error
-        report.traceback = report.traceback or tb
-        self.metrics.inc("service.worker_crashes")
-        trace.event("service.worker_crash",
-                    member=self._members[index].name, error=error)
-        obs_events.emit("worker.crash",
-                        member=self._members[index].name, error=error)
-        proc = self._procs[index]
-        if proc.is_alive():
-            proc.terminate()
+    def _send(self, helper: _Helper) -> None:
+        """Send the probe in progress to an idle helper."""
+        probe_id, assumptions, timeout_s, start = self._probe_args
+        if timeout_s is not None:  # what is left of the probe's budget
+            timeout_s = max(timeout_s - (time.perf_counter() - start), 0.0)
+        delta = self._clauses[helper.shipped:]
+        imports, helper.imports = helper.imports, []
         try:
-            self._conns[index].close()
-        except OSError:
-            pass
-
-    def _collect(self, probe_id, pending, timeout_s, start, cold):
-        """Gather one reply per probed worker and pick the winner."""
-        primary = min(pending)
-        replies: dict[int, dict] = {}
-        winner: int | None = None
-        sat_candidate: int | None = None
-        timed_out = False
-        cancelled: set[int] = set()
-        deadline = start + timeout_s if timeout_s is not None else None
-        grace_deadline: float | None = None
-
-        def cancel(indices) -> None:
-            nonlocal grace_deadline
-            requested = False
-            for i in indices:
-                if i in pending and i not in cancelled:
-                    self._cancels[i].set()
-                    cancelled.add(i)
-                    requested = True
-            if requested:
-                grace_deadline = time.perf_counter() + self._cancel_grace_s
-
-        def handle_reply(i, msg) -> None:
-            nonlocal winner, sat_candidate
-            replies[i] = msg
-            pending.discard(i)
-            trace.merge(msg.get("spans"))
-            obs_events.merge(msg.get("events"))
-            report = self.reports[i]
-            report.finished = True
-            report.verdict = msg["verdict"]
-            report.solve_time_s += msg.get("time", 0.0)
-            report.stats = msg.get("stats", {})
-            kernel = msg.get("kernel", "")
-            if kernel and kernel != report.kernel:
-                report.kernel = kernel
-                self.metrics.inc(f"service.kernel.{kernel}")
-            if msg.get("cancelled"):
-                return
-            definitive = {
-                m["verdict"] for m in replies.values()
-                if not m.get("cancelled")
-                and m["verdict"] != SolveResult.UNKNOWN.value
-            }
-            if len(definitive) > 1:
-                raise PortfolioDisagreementError(
-                    "service members disagree on the verdict: "
-                    + ", ".join(
-                        f"{self._members[j].name}={m['verdict']}"
-                        for j, m in sorted(replies.items())
-                        if not m.get("cancelled")
-                    )
-                )
-            if msg["verdict"] == SolveResult.UNSAT.value:
-                if winner is None:
-                    winner = i
-                cancel(set(pending))
-            elif msg["verdict"] == SolveResult.SAT.value:
-                if i == primary:
-                    if winner is None:
-                        winner = i
-                    cancel(set(pending))
-                else:
-                    # Remember the witness, free the other helpers, let
-                    # the primary finish so the model does not depend on
-                    # scheduling.
-                    if sat_candidate is None or i < sat_candidate:
-                        sat_candidate = i
-                    cancel({j for j in pending if j != primary})
-
-        while pending:
-            conns = {self._conns[i]: i for i in pending}
-            sentinels = {self._procs[i].sentinel: i for i in pending}
-            ready = connection_wait(
-                list(conns) + list(sentinels), timeout=_POLL_S
+            helper.conn.send(
+                ("probe", probe_id, assumptions, pack_clauses(delta),
+                 pack_clauses(imports), timeout_s)
             )
-            # Replies first: a worker that died right after flushing its
-            # answer must not be mislabelled as crashed.
-            for obj in ready:
-                i = conns.get(obj)
-                if i is None or i not in pending:
-                    continue
-                try:
-                    msg = obj.recv()
-                except (EOFError, OSError):
-                    self._mark_dead(i, "worker connection closed")
-                    pending.discard(i)
-                    continue
-                if msg.get("probe") != probe_id:
-                    continue  # stale flush from an earlier probe
-                if "error" in msg:
-                    obs_events.merge(msg.get("events"))
-                    self._mark_dead(i, msg["error"],
-                                    msg.get("traceback", ""))
-                    pending.discard(i)
-                    continue
-                handle_reply(i, msg)
-            for obj in ready:
-                i = sentinels.get(obj)
-                if i is None or i not in pending:
-                    continue
-                try:
-                    if self._conns[i].poll(0):
-                        continue  # a reply is queued; read it next round
-                except OSError:
-                    pass
-                self._mark_dead(
-                    i,
-                    f"worker died with exit code {self._procs[i].exitcode}",
-                )
-                pending.discard(i)
+        except (BrokenPipeError, OSError):
+            self._mark_dead(helper, "worker pipe closed before the probe")
+            return
+        helper.shipped = len(self._clauses)
+        helper.owed = probe_id
+        helper.ended_at = None
 
-            now = time.perf_counter()
-            if deadline is not None and now > deadline and not timed_out:
-                timed_out = True
-                cancel(set(pending))
-            if grace_deadline is not None and now > grace_deadline:
-                for i in list(pending):
-                    if i in cancelled:
-                        self._mark_dead(
-                            i, "cancelled worker stopped responding"
-                        )
-                        pending.discard(i)
+    def _poll(self) -> None:
+        """Read every helper reply that is ready; a helper freed while a
+        probe runs joins it."""
+        for helper in self._helpers:
+            if not helper.alive or not helper.conn.poll(0):
+                continue
+            try:
+                msg = helper.conn.recv()
+            except (EOFError, OSError):
+                self._mark_dead(helper, "worker connection closed")
+                continue
+            self._fold(helper, msg)
+            if self._probing and helper.alive and not helper.owed:
+                self._send(helper)
 
-        for event in self._cancels:
-            event.clear()
-
-        if winner is None and sat_candidate is not None:
-            # The primary died or timed out after a helper proved SAT.
-            winner = sat_candidate
-
-        wall = time.perf_counter() - start
-        merged: dict = {}
-        imported = 0
-        for msg in replies.values():
-            imported += msg.get("imported", 0)
-            for key, value in (msg.get("stats") or {}).items():
-                if isinstance(value, (int, float)):
-                    merged[key] = merged.get(key, 0) + value
-        self._absorb(merged)
+    def _fold(self, helper: _Helper, msg: dict) -> None:
+        """Absorb one helper reply: telemetry, counters, shared clauses,
+        and its verdict."""
+        helper.owed = 0
+        trace.merge(msg.get("spans"))
+        obs_events.merge(msg.get("events"))
+        if "error" in msg:
+            self._mark_dead(helper, msg["error"], msg.get("traceback", ""))
+            return
+        report = self.reports[helper.index]
+        report.finished = True
+        report.verdict = msg["verdict"]
+        report.solve_time_s += msg.get("time", 0.0)
+        report.stats = msg.get("stats", {})
+        self._note_kernel(helper.index, msg.get("kernel", ""))
+        _add_counts(self._helper_stats, report.stats)
+        imported = msg.get("imported", 0)
         if imported:
             self.metrics.inc("share.imported", imported)
             obs_events.emit("share.import", clauses=imported)
+        self._share(helper.index, msg.get("learned"))
+        verdict = msg["verdict"]
+        if msg.get("cancelled") or verdict == SolveResult.UNKNOWN.value:
+            return
+        probe_id = msg["probe"]
+        self._record_verdict(probe_id, helper.index, verdict)
+        if (
+            verdict == SolveResult.UNSAT.value
+            and self._probing
+            and probe_id == self._probe_id
+            and self._helper_unsat is None
+        ):
+            self._helper_unsat = (helper.index, msg)
 
-        self._broadcast(replies, winner)
-
-        if winner is None:
-            if not replies and not self._alive.count(True):
-                return None  # every worker died during the probe
-            return ProbeOutcome(
-                verdict=SolveResult.UNKNOWN, wall_time_s=wall, cold=cold,
-                timed_out=timed_out, stats=merged,
+    def _record_verdict(self, probe_id: int, index: int,
+                        verdict: str) -> None:
+        """Check ``verdict`` against the first definitive one of the
+        probe; a contradiction is raised at the next checkpoint."""
+        first = self._verdicts.setdefault(probe_id, (index, verdict))
+        if first[1] != verdict and not self._disagreement:
+            self._disagreement = (
+                f"service members disagree on probe {probe_id}: "
+                f"{self._members[first[0]].name}={first[1]}, "
+                f"{self._members[index].name}={verdict}"
             )
-        msg = replies[winner]
-        return ProbeOutcome(
-            verdict=SolveResult(msg["verdict"]),
-            model=msg.get("model"),
-            unsat_core=list(msg.get("core") or []),
-            winner=winner,
-            winner_name=self._members[winner].name,
-            wall_time_s=wall,
-            cold=cold,
-            timed_out=timed_out,
-            stats=merged,
+
+    def _raise_disagreement(self) -> None:
+        if self._disagreement:
+            raise PortfolioDisagreementError(self._disagreement)
+
+    def _end_probe(self, probe_id: int) -> None:
+        """Cancel the helpers still on the probe and start their grace
+        clocks; forget the verdicts no helper still owes."""
+        if self._cancelled is not None:
+            self._cancelled.value = probe_id
+        now = time.perf_counter()
+        owed = set()
+        for helper in self._helpers:
+            if helper.alive and helper.owed:
+                owed.add(helper.owed)
+                if helper.owed == probe_id:
+                    helper.ended_at = now
+        self._verdicts = {
+            p: v for p, v in self._verdicts.items() if p in owed
+        }
+
+    def _expire_grace(self, now: float) -> None:
+        for helper in self._helpers:
+            if (
+                helper.alive and helper.owed
+                and helper.ended_at is not None
+                and now - helper.ended_at > _CANCEL_GRACE_S
+            ):
+                self._mark_dead(helper, "cancelled worker stopped responding")
+
+    def _primary_exports(self) -> list[list[int]]:
+        """The primary's new low-LBD clauses, when a helper can use them."""
+        if not self.alive_count:
+            return []
+        return self._primary.solver.export_learned(
+            _SHARE_MAX_LBD, _SHARE_MAX_LEN, limit=_SHARE_BUDGET,
+            skip_keys=self._primary_keys,
         )
 
-    def _broadcast(self, replies, winner) -> None:
-        """Queue the probe's harvested clauses for the next probe.
-
-        The winner's export is taken first (it decided the probe, its
-        clauses are the proven-useful ones), then the other finishers',
-        all deduped against everything shared before and capped by the
-        per-probe budget.  The primary member never imports, so its
-        search stays the exact serial descent.
-        """
-        met = self.metrics
-        budget = _SHARE_BUDGET
-        order = ([winner] if winner in replies else []) + [
-            i for i in sorted(replies) if i != winner
-        ]
-        harvest: list[tuple[int, list[int]]] = []
-        for i in order:
-            for lits in unpack_clauses(replies[i].get("learned") or b""):
-                met.inc("share.exported")
-                key = tuple(sorted(lits))
-                if key in self._seen_shared:
-                    met.inc("share.deduped")
-                    continue
-                if len(harvest) >= budget:
-                    met.inc("share.over_budget")
-                    continue
-                self._seen_shared.add(key)
-                harvest.append((i, lits))
-        if not harvest:
+    def _share(self, origin: int, learned) -> None:
+        """Queue clauses exported by member ``origin`` for every other
+        live helper: deduped against everything shared before, capped by
+        the per-probe budget.  The primary never imports, so its search
+        stays the exact serial descent."""
+        targets = [helper for helper in self._helpers
+                   if helper.alive and helper.index != origin]
+        if not targets or not learned:
             return
-        obs_events.emit("share.export", clauses=len(harvest))
-        alive = [i for i, ok in enumerate(self._alive) if ok]
-        primary = min(alive, default=-1)
-        for j in alive:
-            if j == primary:
-                continue
-            queued = [lits for origin, lits in harvest if origin != j]
-            if queued:
-                self._pending_imports[j].extend(queued)
-                met.inc("share.broadcast", len(queued))
+        if isinstance(learned, (bytes, bytearray)):
+            learned = unpack_clauses(learned)
+        fresh: list[list[int]] = []
+        deduped = over_budget = 0
+        for lits in learned:
+            key = tuple(sorted(lits))
+            if key in self._seen_shared:
+                deduped += 1
+            elif self._share_left <= 0:
+                over_budget += 1
+            else:
+                self._share_left -= 1
+                self._seen_shared.add(key)
+                fresh.append(lits)
+        met = self.metrics
+        met.inc("share.exported", len(learned))
+        if deduped:
+            met.inc("share.deduped", deduped)
+        if over_budget:
+            met.inc("share.over_budget", over_budget)
+        if not fresh:
+            return
+        obs_events.emit("share.export", clauses=len(fresh))
+        for helper in targets:
+            helper.imports.extend(fresh)
+            met.inc("share.broadcast", len(fresh))
+
+    def _note_kernel(self, index: int, kernel: str) -> None:
+        report = self.reports[index]
+        if kernel and kernel != report.kernel:
+            report.kernel = kernel
+            self.metrics.inc(f"service.kernel.{kernel}")
+
+    def _mark_dead(self, helper: _Helper, error: str, tb: str = "") -> None:
+        """Record a crashed helper and terminate it; losing the last one
+        is a fallback."""
+        if not helper.alive:
+            return
+        helper.alive = False
+        helper.owed = 0
+        report = self.reports[helper.index]
+        report.error = report.error or error
+        report.traceback = report.traceback or tb
+        name = self._members[helper.index].name
+        self.metrics.inc("service.worker_crashes")
+        trace.event("service.worker_crash", member=name, error=error)
+        obs_events.emit("worker.crash", member=name, error=error)
+        if helper.proc.is_alive():
+            helper.proc.terminate()
+        helper.proc.join(timeout=_CLOSE_WAIT_S)
+        try:
+            helper.conn.close()
+        except OSError:
+            pass
+        if all(self.reports[h.index].error for h in self._helpers):
+            self._fall_back("all service helpers have died")
+
+    def _fall_back(self, reason: str) -> None:
+        """Retire the helpers; the primary answers every later probe
+        alone, with its solver and clauses as they are."""
+        if self._fallback_reason:
+            return
+        self._fallback_reason = reason
+        trace.event("service.fallback", error=reason)
+        self._retire()
+
+    def _retire(self) -> None:
+        """Cancel and quit every live helper, read the replies it still
+        owes (for up to ``_CLOSE_WAIT_S``), and reap it."""
+        if self._cancelled is not None:
+            self._cancelled.value = self._probe_id
+        live = [helper for helper in self._helpers if helper.alive]
+        for helper in live:
+            try:
+                helper.conn.send(("quit",))
+            except (BrokenPipeError, OSError):
+                pass
+        deadline = time.perf_counter() + _CLOSE_WAIT_S
+        for helper in live:
+            while helper.alive:
+                remaining = max(deadline - time.perf_counter(), 0.0)
+                try:
+                    if not helper.conn.poll(remaining):
+                        break  # still busy: terminated below
+                    msg = helper.conn.recv()
+                except (EOFError, OSError):
+                    if helper.owed:  # died without its reply
+                        self._mark_dead(helper, "worker connection closed")
+                    break
+                self._fold(helper, msg)
+        for helper in live:
+            if helper.alive:
+                helper.alive = False
+                if helper.proc.is_alive():
+                    helper.proc.terminate()
+                helper.proc.join(timeout=_CLOSE_WAIT_S)
+                try:
+                    helper.conn.close()
+                except OSError:
+                    pass
 
 
 def open_session(
@@ -907,8 +989,9 @@ def open_session(
 
     ``parallel <= 1`` gives a :class:`SerialSession` solving with
     ``base`` (default :class:`SolverConfig`); above that a
-    :class:`SolverService` racing ``members`` (default: ``parallel``
-    members diversified from ``base``).
+    :class:`SolverService` whose primary solves with ``members[0]`` and
+    whose helpers race it with the rest (default: ``parallel`` members
+    diversified from ``base``).
     """
     if parallel <= 1:
         return SerialSession(num_vars, clauses, base).start()

@@ -69,9 +69,15 @@ def record_encoding(reg: MetricsRegistry, encoding: EtcsEncoding) -> None:
     reg.set("encoder.trains", len(encoding.runs))
 
 
-def record_solver(reg: MetricsRegistry, solver: Solver) -> None:
-    """Absorb a serial solver's counters and restart cadence."""
-    reg.absorb_solver_stats(solver.stats.as_dict())
+def record_solver(
+    reg: MetricsRegistry, solver: Solver, stats: dict | None = None
+) -> None:
+    """Absorb a solver's counters — or ``stats``, when the counters of a
+    session that raced it are summed elsewhere — and its restart
+    cadence."""
+    reg.absorb_solver_stats(
+        solver.stats.as_dict() if stats is None else stats
+    )
     for delta in solver.stats.restart_conflict_deltas:
         reg.observe("solver.restart_conflicts", delta)
 

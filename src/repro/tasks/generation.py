@@ -54,12 +54,13 @@ def generate_layout(
     integer installation costs; the objective then becomes the weighted sum
     (paper: unweighted ``min Σ border_v``).  Unlisted vertices cost 1.
 
-    ``parallel > 1`` races every probe of the linear/binary descent on
-    the resident incremental solver service (:mod:`repro.sat.service`),
-    which keeps learned clauses across probes and ships only clause
-    deltas; it falls back to an in-process serial solve when it cannot
-    fork or loses every worker.  The core-guided engine is inherently
-    incremental and stays serial.
+    ``parallel > 1`` runs the linear/binary descent on the incremental
+    solver service (:mod:`repro.sat.service`): member 0 walks the serial
+    search in process while resident helper workers, which keep learned
+    clauses across probes and receive only clause deltas, race it to
+    prove each probe UNSAT; the service keeps probing on member 0 alone
+    when it cannot fork or loses every helper.  The core-guided engine
+    is inherently incremental and stays serial.
 
     ``timeout_s`` bounds the descent's wall clock: on expiry the task
     returns the best layout found so far (``status="timeout"`` with the

@@ -66,12 +66,13 @@ def optimize_schedule(
     Set ``minimize_borders_secondary`` to additionally minimise VSS borders
     among objective-optimal solutions (applied last).
 
-    ``parallel > 1`` races every probe of the linear/binary descents
-    (including the refinement and secondary passes) on the resident
-    incremental solver service (:mod:`repro.sat.service`) — one session
-    per descent pass — which falls back to an in-process serial solve
-    when it cannot fork or loses every worker; the core-guided engine
-    stays serial.
+    ``parallel > 1`` runs the linear/binary descents (including the
+    refinement and secondary passes) on the incremental solver service
+    (:mod:`repro.sat.service`) — one session per descent pass — whose
+    in-process primary walks the serial search while resident helper
+    workers race it to UNSAT proofs; the service keeps probing on the
+    primary alone when it cannot fork or loses every helper.  The
+    core-guided engine stays serial.
 
     ``timeout_s`` bounds the *whole* task: the primary descent gets the
     remaining wall budget, each later pass gets what is left after the

@@ -183,10 +183,7 @@ def verify_schedule(
                     if satisfiable
                     else None
                 )
-            if outcome.solver is not None:
-                record_solver(reg, outcome.solver)
-            else:
-                reg.absorb_solver_stats(outcome.solver_stats)
+            record_solver(reg, outcome.solver, outcome.solver_stats)
             solver_stats = outcome.solver_stats
             reg.absorb_lazy(outcome.refiner.stats())
             task_span.add(lazy_rounds=outcome.refiner.rounds)

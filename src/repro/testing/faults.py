@@ -8,21 +8,22 @@ the ``REPRO_FAULTS`` environment variable (a JSON object) tells the
 production hooks below exactly where to misbehave — kill this member at
 that probe, hang for so long, fail the Nth checkpoint write.
 
-The environment is the transport on purpose: service and portfolio
-workers are forked children, so an armed plan reaches them with zero
-plumbing.  The hooks fire only in those workers: the solver service's
-serial fallback runs in the parent process and never calls one, so a
-plan that kills every worker cannot also kill the fallback.  Every hook
-is a near-zero-cost no-op when no plan is armed (one cached environment
-lookup).
+The environment is the transport on purpose: portfolio workers and the
+solver service's helpers are forked children, so an armed plan reaches
+them with zero plumbing.  The hooks fire only in those workers: the
+solver service's primary member (member 0, "base" by default) solves
+in the parent process and never calls one, so a plan that kills every
+helper cannot also kill the primary that finishes the session.  Every
+hook is a near-zero-cost no-op when no plan is armed (one cached
+environment lookup).
 
 Example::
 
-    plan = FaultPlan(kill_member="fast-decay", kill_probe=2)
+    plan = FaultPlan(kill_member="neg-phase", kill_probe=1)
     with injected(plan):
         result = minimize_sum(cnf, lits, parallel=2)
-    # worker "fast-decay" SIGKILLed itself at its 2nd probe; the
-    # descent finished on the survivors.
+    # helper "neg-phase" SIGKILLed itself at probe 1; the descent
+    # finished on the in-process primary.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ class FaultPlan:
     """One deterministic misbehaviour, keyed by member/probe/attempt.
 
     Attributes:
-        kill_member: portfolio/service member that SIGKILLs its own
-            process at probe number ``kill_probe`` (1-based; 0 = during
-            worker startup, before the solver is built).
+        kill_member: portfolio member or service helper that SIGKILLs
+            its own process at probe number ``kill_probe`` (1-based; 0 =
+            during worker startup, before the solver is built).  A
+            service helper only sees the probes it takes part in: one
+            that is still busy when a probe starts skips it.
         hang_member: member that sleeps ``hang_s`` seconds at probe
-            ``hang_probe`` instead of answering — exercises the
-            cancellation-grace / parent-timeout path.
+            ``hang_probe`` instead of answering — the service must not
+            wait for it, and ``close()`` must reap it.
         slow_member: member that sleeps ``slow_start_s`` once at worker
             startup (slow fork / cold cache).
         checkpoint_fail_at: 1-based checkpoint write sequence number from
@@ -141,7 +144,7 @@ def _die() -> None:
 
 
 def on_worker_start(member_name: str) -> None:
-    """Called once when a portfolio/service worker comes up."""
+    """Called once when a portfolio worker or service helper comes up."""
     plan = active_plan()
     if plan is None:
         return
@@ -152,7 +155,8 @@ def on_worker_start(member_name: str) -> None:
 
 
 def on_probe(member_name: str, probe: int) -> None:
-    """Called at the start of probe number ``probe`` (1-based) in a worker."""
+    """Called in a service helper when probe number ``probe`` (1-based)
+    reaches it."""
     plan = active_plan()
     if plan is None:
         return

@@ -2,16 +2,17 @@
 
 Covers the learned-clause exchange on the core solver, the
 :class:`repro.sat.service.SolverService` session protocol (delta
-shipping, cancellation, worker death, the serial fallback), the
-agreement of the serial and service descents on the paper's running
-example — down to the exact probe trajectory that lets one loop serve
-both — and the trace evidence that probes ship O(delta) clauses instead
-of O(|CNF|).
+shipping, helper death, the fallback to the in-process primary, the
+disagreement check on late helper replies), the agreement of the serial
+and service descents on the paper's running example — down to the exact
+probe trajectory that lets one loop serve both — and the trace evidence
+that probes ship O(delta) clauses instead of O(|CNF|).
 """
 
 from __future__ import annotations
 
 import errno
+import json
 import os
 import signal
 
@@ -30,7 +31,7 @@ from repro.network.sections import VSSLayout
 from repro.obs import trace
 from repro.opt import minimize_sum
 from repro.sat import PortfolioMember, SolverConfig
-from repro.sat.portfolio import fork_available
+from repro.sat.portfolio import PortfolioDisagreementError, fork_available
 from repro.sat.service import ServiceError, SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
@@ -45,21 +46,43 @@ needs_fork = pytest.mark.skipif(
 # --- helpers (module-level: fork-safe) -------------------------------------
 
 class _FragileSolver(Solver):
-    """Solves once, then raises — simulates a mid-session worker death."""
+    """Loads the CNF, then raises when the first probe's clause delta
+    arrives — a helper that dies at its first probe.  The first probe
+    reaches every helper; a helper still busy when a later probe starts
+    skips that one, and one that receives a probe after it ended loads
+    the delta without solving."""
 
     def __init__(self, config=None):
         super().__init__(config)
-        self._fragile_solves = 0
+        self._loads = 0
 
-    def solve(self, assumptions=()):
-        self._fragile_solves += 1
-        if self._fragile_solves > 1:
+    def add_clauses(self, clauses):
+        self._loads += 1
+        if self._loads > 1:
             raise RuntimeError("injected mid-session crash")
-        return super().solve(assumptions)
+        return super().add_clauses(clauses)
 
 
 def fragile_factory(config):
     return _FragileSolver(config)
+
+
+class _LyingSolver(Solver):
+    """Claims SAT without solving — simulates an unsound member."""
+
+    def solve(self, assumptions=()):
+        return SolveResult.SAT
+
+
+def lying_factory(config):
+    return _LyingSolver(config)
+
+
+def _kill(pid):
+    """SIGKILL a helper and wait until it has exited, leaving it for
+    the service to reap."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
 
 
 def _descent_cnf():
@@ -74,6 +97,21 @@ def _descent_cnf():
 
 
 SAT_CLAUSES = [[1, 2], [-1, 3], [-2, -3]]
+
+
+def _pigeonhole(holes: int) -> tuple[int, list[list[int]]]:
+    """PHP(holes + 1, holes): small, UNSAT, conflict-rich."""
+    pigeons = holes + 1
+
+    def var(p: int, h: int) -> int:
+        return p * holes + h + 1
+
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return pigeons * holes, clauses
 
 
 @pytest.fixture
@@ -185,28 +223,31 @@ class TestSolverService:
         service = SolverService(3, clauses, processes=3)
         with service:
             assert service.probe().verdict is SolveResult.SAT
-            victim = service.worker_pids()[2]
+            # worker_pids() lists the helpers, members 1 and 2; the
+            # primary, member 0, solves in this process.
+            victim = service.worker_pids()[1]
             assert victim is not None
-            os.kill(victim, signal.SIGKILL)
+            _kill(victim)
             clauses.append([3])
             after = service.probe()
             assert after.verdict is SolveResult.SAT
             assert 3 in (after.model or [])
-            assert service.alive_count == 2
+            assert service.alive_count == 1
             counters = service.metrics.as_dict()
             assert counters["service.worker_crashes"] == 1
             workers = service.summary()["service"]["workers"]
+            assert workers[0]["alive"] is True
             assert workers[2]["alive"] is False
 
     def test_all_workers_dead_falls_back_to_serial(self):
         clauses = [list(c) for c in SAT_CLAUSES]
-        service = SolverService(3, clauses, processes=2)
+        service = SolverService(3, clauses, processes=3)
         with service:
             service.probe()
             for pid in service.worker_pids():
-                os.kill(pid, signal.SIGKILL)
+                _kill(pid)
             clauses.append([-1])
-            # The fallback answers in process over every clause so far.
+            # The primary answers alone over every clause so far.
             after = service.probe()
             assert after.verdict is SolveResult.SAT
             assert -1 in after.model and 2 in after.model
@@ -216,6 +257,21 @@ class TestSolverService:
             assert "died" in summary["service"]["fallback"]
             assert summary["service"]["counters"][
                 "service.worker_crashes"] == 2
+
+    def test_lying_helper_raises_disagreement(self):
+        num_vars, clauses = _pigeonhole(7)  # UNSAT, ~1 s for the primary
+        members = [
+            PortfolioMember("base", SolverConfig()),
+            PortfolioMember("liar", SolverConfig(random_seed=3),
+                            solver_factory=lying_factory),
+        ]
+        service = SolverService(num_vars, clauses, members=members)
+        with pytest.raises(PortfolioDisagreementError):
+            with service:
+                # The liar answers SAT at once; the primary's UNSAT for
+                # the same probe contradicts it.
+                service.probe()
+        assert service.worker_pids() == [None]  # reaped all the same
 
 
 # --- descent-level crash handling and fallback -----------------------------
@@ -228,8 +284,9 @@ class TestDescentCrashHandling:
             PortfolioMember("base", SolverConfig()),
             PortfolioMember("fragile", SolverConfig(random_seed=7),
                             solver_factory=fragile_factory),
+            PortfolioMember("steady", SolverConfig(random_seed=11)),
         ]
-        result = minimize_sum(cnf, lits, parallel=2,
+        result = minimize_sum(cnf, lits, parallel=3,
                               portfolio_members=members)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
@@ -243,15 +300,16 @@ class TestDescentCrashHandling:
     def test_all_workers_crash_falls_back_to_serial(self):
         cnf, lits = _descent_cnf()
         members = [
+            PortfolioMember("base", SolverConfig()),
             PortfolioMember("fragile-a", SolverConfig(random_seed=1),
                             solver_factory=fragile_factory),
             PortfolioMember("fragile-b", SolverConfig(random_seed=2),
                             solver_factory=fragile_factory),
         ]
-        # The service survives the first probe, loses every worker on the
-        # second, and the descent finishes on the in-process fallback —
-        # a default Solver, so the fragile factory cannot crash it too.
-        result = minimize_sum(cnf, lits, parallel=2,
+        # Both helpers crash at their first probe; the descent finishes
+        # on the in-process primary, member 0, whose factory runs in
+        # this process.
+        result = minimize_sum(cnf, lits, parallel=3,
                               portfolio_members=members)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
@@ -280,6 +338,58 @@ class TestDescentCrashHandling:
         assert fallback.solve_calls == serial.solve_calls
         assert fallback.refiner.rounds == serial.refiner.rounds
         assert "injected" in fallback.portfolio["service"]["fallback"]
+
+
+# --- checkpoints record the primary's unit facts ---------------------------
+
+
+def _checkpointed_generation(parallel: int, path: str, resume: bool = False):
+    """Running Example generation's eager descent with a checkpoint."""
+    study = running_example()
+    encoding = build_encoding(study.discretize(), study.schedule,
+                              study.r_t_min, None)
+    return minimize_sum(encoding.cnf, encoding.border_objective(),
+                        parallel=parallel, checkpoint_path=path,
+                        resume=resume)
+
+
+def _records(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+@needs_fork
+class TestServiceCheckpointUnits:
+    def test_service_checkpoint_records_and_resumes_units(self, tmp_path):
+        serial_path = str(tmp_path / "serial.jsonl")
+        service_path = str(tmp_path / "service.jsonl")
+        _checkpointed_generation(1, serial_path)
+        _checkpointed_generation(2, service_path)
+        serial_units = [r["lits"] for r in _records(serial_path)
+                        if r["type"] == "units"]
+        assert [len(lits) for lits in serial_units] == [10]
+        # The service's primary walks the serial search, so its solver
+        # proves the same unit facts at the same improvement.
+        records = _records(service_path)
+        assert [r["lits"] for r in records
+                if r["type"] == "units"] == serial_units
+
+        # Cut the service checkpoint after its units record, as a kill
+        # would, and resume it on the service.
+        cut = [r["type"] for r in records].index("units") + 1
+        with open(service_path, "w", encoding="utf-8") as handle:
+            for record in records[:cut]:
+                handle.write(json.dumps(record) + "\n")
+        trace.install(trace.Tracer())
+        try:
+            resumed = _checkpointed_generation(2, service_path, resume=True)
+            imported = [r["args"]["count"] for r in trace.export_spans()
+                        if r["name"] == "checkpoint.units_imported"]
+        finally:
+            trace.reset()
+        assert imported == [10]
+        assert resumed.resumed and resumed.proven_optimal
+        assert resumed.cost == 1
 
 
 # --- differential: serial vs service descents -----------------------------

@@ -16,6 +16,7 @@ import pytest
 
 from repro.logic import CNF, VarPool
 from repro.opt import minimize_sum
+from repro.sat import service as service_module
 from repro.sat.portfolio import fork_available
 from repro.sat.service import SolverService
 from repro.sat.types import SolveResult
@@ -70,10 +71,11 @@ class TestFaultPlans:
 @needs_fork
 class TestServiceFaults:
     def test_worker_kill_mid_descent_survives(self):
-        # Kill the non-primary member at its 2nd probe: the session
-        # keeps going on the survivor and the crash is counted.
+        # Kill the helper at probe 1, which reaches every helper (one
+        # still busy when a later probe starts skips it): the session
+        # keeps going on the in-process primary and the crash is counted.
         cnf, obj = _staircase()
-        with injected(FaultPlan(kill_member="neg-phase", kill_probe=2)):
+        with injected(FaultPlan(kill_member="neg-phase", kill_probe=1)):
             result = minimize_sum(cnf, obj, parallel=2)
         assert result.feasible and result.proven_optimal
         assert result.cost == 2
@@ -88,22 +90,45 @@ class TestServiceFaults:
         assert result.cost == 2
 
     def test_hung_worker_is_cancelled_not_waited_for(self):
-        # Member "neg-phase" sleeps 30 s at probe 1; the parent races the
-        # other member, cancels, and only waits the (small) grace.
+        # Helper "neg-phase" sleeps 30 s at probe 1.  The probe ends when
+        # the in-process primary answers, without waiting for the
+        # helper, and close() reaps the sleeper.
         clauses = [[1, 2], [-1, 3], [-2, -3]]
         with injected(FaultPlan(hang_member="neg-phase", hang_probe=1,
                                 hang_s=30.0)):
-            service = SolverService(
-                3, clauses, processes=2, cancel_grace_s=1.0
-            ).start()
+            service = SolverService(3, clauses, processes=2).start()
+            [sleeper] = service.worker_pids()
             try:
                 start = time.perf_counter()
                 outcome = service.probe()
                 elapsed = time.perf_counter() - start
             finally:
-                service.close()  # terminates the sleeper
+                service.close()
         assert outcome.verdict is SolveResult.SAT
-        assert elapsed < 10.0  # nowhere near the 30 s hang
+        assert outcome.winner_name == "base"
+        assert elapsed < 1.0  # nowhere near the 30 s hang
+        with pytest.raises(ProcessLookupError):
+            os.kill(sleeper, 0)  # terminated and reaped
+
+    def test_wedged_helper_is_terminated_after_grace(self, monkeypatch):
+        # A helper that still owes its reply _CANCEL_GRACE_S after its
+        # probe ended is presumed wedged: the next probe terminates it,
+        # counts the crash and, as it was the only helper, falls back.
+        monkeypatch.setattr(service_module, "_CANCEL_GRACE_S", 0.2)
+        clauses = [[1, 2], [-1, 3], [-2, -3]]
+        with injected(FaultPlan(hang_member="neg-phase", hang_probe=1,
+                                hang_s=30.0)):
+            with SolverService(3, clauses, processes=2) as service:
+                assert service.probe().verdict is SolveResult.SAT
+                time.sleep(0.3)
+                assert service.probe([1]).verdict is SolveResult.SAT
+                assert service.worker_pids() == [None]
+                summary = service.summary()
+        assert summary["service"]["counters"][
+            "service.worker_crashes"] == 1
+        assert "died" in summary["service"]["fallback"]
+        [helper] = summary["service"]["workers"][1:]
+        assert "stopped responding" in helper["error"]
 
     def test_slow_worker_start_only_delays(self):
         cnf, obj = _staircase()
@@ -143,11 +168,12 @@ class TestCheckpointFaults:
 
 @needs_fork
 class TestLazyFaults:
-    """Worker crashes during the CEGAR refinement loop.
+    """Helper crashes during the CEGAR refinement loop.
 
     The running example's verification is UNSAT after one refinement
-    round (probe 1: SAT on the relaxation → refine; probe 2: UNSAT), so
-    a kill at probe 2 lands mid-refinement by construction.
+    round (probe 1: SAT on the relaxation → refine; probe 2: UNSAT).  A
+    helper killed at probe 1 dies before the refinement, and the
+    session must finish the loop without it.
     """
 
     @staticmethod
@@ -158,11 +184,12 @@ class TestLazyFaults:
         return study.discretize(), study.schedule, study.r_t_min
 
     def test_worker_kill_mid_refinement_survives(self):
-        # Kill "base" at its 2nd probe: the refinement clauses shipped
-        # in that probe's delta are not lost — the surviving member got
-        # its own copy — and the final UNSAT verdict is unchanged.
+        # Kill the helper "neg-phase" at probe 1 (the relaxation solve,
+        # which reaches every helper): the in-process primary keeps the
+        # refinement clauses in its own solver, and the final UNSAT
+        # verdict is unchanged.
         net, schedule, r_t = self._running_example()
-        with injected(FaultPlan(kill_member="base", kill_probe=2)):
+        with injected(FaultPlan(kill_member="neg-phase", kill_probe=1)):
             result = verify_schedule(
                 net, schedule, r_t, parallel=2, lazy=True
             )
@@ -172,10 +199,11 @@ class TestLazyFaults:
         assert service["counters"].get("service.worker_crashes", 0) >= 1
 
     def test_service_death_mid_refinement_falls_back(self):
-        # A single-member service that dies at probe 2 leaves no
-        # survivors; the service must answer the round on its serial
-        # fallback — over the *refined* clause set, with no fault hook
-        # that could kill the parent too — and still conclude UNSAT.
+        # The only helper dies at probe 1 (the relaxation solve, which
+        # reaches every helper); the session falls back to the primary
+        # alone, which loads the round's refinement clauses as usual —
+        # with no fault hook that could kill the parent too — and still
+        # concludes UNSAT.
         from repro.encoding.lazy import solve_lazy_verification
         from repro.network.sections import VSSLayout
         from repro.sat.portfolio import diversified_members
@@ -184,15 +212,15 @@ class TestLazyFaults:
         net, schedule, r_t = self._running_example()
         encoding = build_encoding(net, schedule, r_t, None, lazy=True)
         encoding.pin_layout(VSSLayout.pure_ttd(net))
-        with injected(FaultPlan(kill_member="base", kill_probe=2)):
+        with injected(FaultPlan(kill_member="neg-phase", kill_probe=1)):
             outcome = solve_lazy_verification(
-                encoding, parallel=2, members=diversified_members(1)
+                encoding, parallel=2, members=diversified_members(2)
             )
         assert not outcome.satisfiable
         assert outcome.refiner.rounds == 1
         assert outcome.solve_calls == 2
-        # The fallback loaded the round's refinement clauses: its answer
-        # is the clean run's UNSAT, not the relaxation's SAT.
+        # The primary answered over the refined clause set: the clean
+        # run's UNSAT, not the relaxation's SAT.
         service = outcome.portfolio["service"]
         assert "died" in service["fallback"]
         assert service["counters"]["service.worker_crashes"] == 1

@@ -143,8 +143,9 @@ class TestServiceDelivery:
                 and r["args"].get("scope") == "probe"]
         assert hits and hits[0]["args"]["probe"] == 1
         assert kinds.get("probe.done", 0) == 1
-        # ... while the workers' progress events arrive from their own
-        # per-member child logs, merged onto one monotone timeline.
+        # ... while the helper's progress events arrive from its own
+        # per-member child log with its reply — which the probe does not
+        # wait for: close() reads it — merged onto one monotone timeline.
         progress = [r for r in merged if r["kind"] == "progress"]
         assert progress, "no worker progress during the timed-out probe"
         assert any(
