@@ -215,7 +215,7 @@ class EtcsEncoding:
         self.family_stats[name] = {
             "vars": self.cnf.num_vars - vars_before,
             "clauses": len(added),
-            "literals": sum(len(clause) for clause in added),
+            "literals": sum(map(len, added)),
         }
 
     def _create_borders(self) -> None:
@@ -369,6 +369,8 @@ class EtcsEncoding:
         if j == i or not run_i.departure_step <= t < self.t_max - 1:
             return 0
         sink = self.cnf.add
+        occupies = self.reg.occupies
+        interiors_of = self._interiors
         reach = self._reach(run_i.speed_segments)
         max_edges = run_i.speed_segments + 1
         possible_now = self.cone.at(i, t)
@@ -377,28 +379,31 @@ class EtcsEncoding:
         other_next = self.cone.at(j, t + 1)
         if not other_now and not other_next:
             return 0
+        # g -> (-occupies(j, g, t), -occupies(j, g, t + 1)), 0 where train
+        # j cannot be on g; looked up (so created) when g is first met.
+        bystander: dict[int, tuple[int, int]] = {}
         count = 0
         for e in possible_now:
-            occ_e = self.reg.occupies(i, e, t)
+            occ_e = occupies(i, e, t)
             for f in reach[e]:
                 if f == e or f not in possible_next:
                     continue
-                interiors = self._interiors(e, f, max_edges)
+                interiors = interiors_of(e, f, max_edges)
                 if not interiors:
                     continue
-                occ_f = self.reg.occupies(i, f, t + 1)
+                occ_f = occupies(i, f, t + 1)
                 for g in interiors:
-                    if g in other_now:
-                        sink(
-                            [-occ_e, -occ_f,
-                             -self.reg.occupies(j, g, t)]
+                    lits = bystander.get(g)
+                    if lits is None:
+                        lits = bystander[g] = (
+                            -occupies(j, g, t) if g in other_now else 0,
+                            -occupies(j, g, t + 1) if g in other_next else 0,
                         )
+                    if lits[0]:
+                        sink([-occ_e, -occ_f, lits[0]])
                         count += 1
-                    if g in other_next:
-                        sink(
-                            [-occ_e, -occ_f,
-                             -self.reg.occupies(j, g, t + 1)]
-                        )
+                    if lits[1]:
+                        sink([-occ_e, -occ_f, lits[1]])
                         count += 1
         return count
 

@@ -13,13 +13,18 @@ Maps the paper's variable families to DIMACS numbers via a
   one segment,
 * ``done_all(t)``        — the paper's ``done^t`` conjunction.
 
-The registry also keeps the primary-variable census that the paper's Table I
-"Var." column reports.
+A variable's name is a tuple whose first item is its family, so the
+primary-variable census that the paper's Table I "Var." column reports
+is counted from the pool's names when asked; creating a variable keeps
+no counter.
 """
 
 from __future__ import annotations
 
 from repro.logic.cnf import VarPool
+
+#: The registry's variable families, in census order.
+FAMILIES = ("border", "occupies", "done", "gone", "chain", "done_all")
 
 
 class VariableRegistry:
@@ -27,62 +32,40 @@ class VariableRegistry:
 
     def __init__(self, pool: VarPool | None = None):
         self.pool = pool if pool is not None else VarPool()
-        self.num_border = 0
-        self.num_occupies = 0
-        self.num_done = 0
-        self.num_gone = 0
-        self.num_chain = 0
-        self.num_done_all = 0
+        # The pool's name table: an existing variable costs one lookup.
+        self._names = self.pool.names
 
-    # -- creation (counts the variable once) -------------------------------
+    # -- creation (allocates on first use) ----------------------------------
 
     def border(self, vertex: int) -> int:
         name = ("border", vertex)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
-            self.num_border += 1
-        return var
+        var = self._names.get(name)
+        return self.pool.var(name) if var is None else var
 
     def occupies(self, train: int, segment: int, step: int) -> int:
         name = ("occupies", train, segment, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
-            self.num_occupies += 1
-        return var
+        var = self._names.get(name)
+        return self.pool.var(name) if var is None else var
 
     def done(self, train: int, step: int) -> int:
         name = ("done", train, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
-            self.num_done += 1
-        return var
+        var = self._names.get(name)
+        return self.pool.var(name) if var is None else var
 
     def gone(self, train: int, step: int) -> int:
         name = ("gone", train, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
-            self.num_gone += 1
-        return var
+        var = self._names.get(name)
+        return self.pool.var(name) if var is None else var
 
     def chain(self, train: int, chain_index: int, step: int) -> int:
         name = ("chain", train, chain_index, step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
-            self.num_chain += 1
-        return var
+        var = self._names.get(name)
+        return self.pool.var(name) if var is None else var
 
     def done_all(self, step: int) -> int:
         name = ("done_all", step)
-        existed = name in self.pool
-        var = self.pool.var(name)
-        if not existed:
-            self.num_done_all += 1
-        return var
+        var = self._names.get(name)
+        return self.pool.var(name) if var is None else var
 
     # -- lookup (no creation) ----------------------------------------------
 
@@ -100,27 +83,52 @@ class VariableRegistry:
     def lookup_border(self, vertex: int) -> int | None:
         return self.pool.lookup(("border", vertex))
 
-    # -- census -------------------------------------------------------------
+    # -- census (counted from the pool's names) -----------------------------
+
+    @property
+    def num_border(self) -> int:
+        return self.census()["border"]
+
+    @property
+    def num_occupies(self) -> int:
+        return self.census()["occupies"]
+
+    @property
+    def num_done(self) -> int:
+        return self.census()["done"]
+
+    @property
+    def num_gone(self) -> int:
+        return self.census()["gone"]
+
+    @property
+    def num_chain(self) -> int:
+        return self.census()["chain"]
+
+    @property
+    def num_done_all(self) -> int:
+        return self.census()["done_all"]
 
     @property
     def num_primary(self) -> int:
         """border + occupies + done: the paper's problem variables."""
-        return self.num_border + self.num_occupies + self.num_done
+        census = self.census()
+        return census["border"] + census["occupies"] + census["done"]
 
     @property
     def num_structural(self) -> int:
         """Encoding-internal named variables (chains, gone, done_all)."""
-        return self.num_chain + self.num_gone + self.num_done_all
+        census = self.census()
+        return census["chain"] + census["gone"] + census["done_all"]
 
     def census(self) -> dict[str, int]:
-        """All counts, for reports."""
-        return {
-            "border": self.num_border,
-            "occupies": self.num_occupies,
-            "done": self.num_done,
-            "gone": self.num_gone,
-            "chain": self.num_chain,
-            "done_all": self.num_done_all,
-            "aux": self.pool.num_aux,
-            "total": self.pool.num_vars,
-        }
+        """All counts, for reports: each family's named variables, then
+        the pool's auxiliary and total counts."""
+        census = dict.fromkeys(FAMILIES, 0)
+        for name in self.pool.names:
+            # A shared pool may hold names of any hashable type.
+            if isinstance(name, tuple) and name and name[0] in census:
+                census[name[0]] += 1
+        census["aux"] = self.pool.num_aux
+        census["total"] = self.pool.num_vars
+        return census

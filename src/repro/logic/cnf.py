@@ -8,7 +8,7 @@ they are handed to a :class:`repro.sat.Solver`.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 from repro.sat.solver import Solver
 
@@ -42,6 +42,12 @@ class VarPool:
     def num_aux(self) -> int:
         """Number of anonymous auxiliary variables."""
         return self._aux_count
+
+    @property
+    def names(self) -> Mapping[Hashable, int]:
+        """The live name → variable table (read only; allocate through
+        :meth:`var`)."""
+        return self._by_name
 
     def var(self, name: Hashable) -> int:
         """Return the variable number for ``name``, allocating if new."""

@@ -169,23 +169,38 @@ class Kernel:
 
     def new_var(self) -> int:
         var = self._nv + 1
-        if var > self._cap:
-            self._grow(var)
-        self._nv = var
-        self._level.append(0)
-        self._reason.append(-1)
-        self._activity.append(0.0)
-        self._saved_phase.append(1 if self.config.default_phase else 0)
-        self._seen.append(0)
-        self._heap_act.append(0.0)
-        heapq.heappush(self._order_heap, (0.0, var))
+        self.ensure_var(var)
         return var
 
     def ensure_var(self, var: int) -> None:
+        """Create the variables up to ``var`` in one step.
+
+        Each new variable gets one heap push, never a heapify: the
+        totalizer and the lazy deltas name new variables one at a time
+        in the middle of a load, so a call must cost O(new variables).
+        A push is O(1) here: activities are >= 0 and the new variable
+        exceeds every variable in the heap, so ``(0.0, v)`` is at least
+        every entry already there and stays at its leaf.
+        """
         if var <= 0:
             raise InvalidLiteralError(f"variables must be positive, got {var}")
-        while self._nv < var:
-            self.new_var()
+        nv = self._nv
+        if var <= nv:
+            return
+        if var > self._cap:
+            self._grow(var)
+        count = var - nv
+        self._level.extend([0] * count)
+        self._reason.extend([-1] * count)
+        self._activity.extend([0.0] * count)
+        phase = 1 if self.config.default_phase else 0
+        self._saved_phase.extend(bytes([phase]) * count)
+        self._seen.extend(bytes(count))
+        self._heap_act.extend([0.0] * count)
+        heap = self._order_heap
+        for v in range(nv + 1, var + 1):
+            heapq.heappush(heap, (0.0, v))
+        self._nv = var
 
     def _grow(self, need: int) -> None:
         """Re-centre the literal-indexed arrays around a larger capacity."""
@@ -215,7 +230,8 @@ class Kernel:
         satisfied at level 0 are dropped, falsified literals removed, and
         a unit propagates before the next clause is read.  An empty
         clause, or a unit that propagates to a conflict, logs the empty
-        clause to an attached proof.
+        clause to an attached proof.  A 2- or 3-literal clause that
+        needs none of this skips the per-literal loop.
         """
         if not self._ok:
             return False
@@ -230,57 +246,91 @@ class Kernel:
         arena = self._arena
         clause_refs = self._clause_refs
         for lits in clauses:
-            simplified: list[int] = []
-            keep = True
-            for lit in lits:
-                if not isinstance(lit, int) or lit == 0:
-                    for kept in simplified:
-                        marks[kept if kept > 0 else -kept] = 0
-                    raise InvalidLiteralError(f"invalid literal {lit!r}")
-                var = lit if lit > 0 else -lit
-                if var > nv:
-                    self.ensure_var(var)
-                    nv = var
-                    assigns = self._assigns
-                    watches = self._watches
-                    off = self._off
-                mark = marks[var]
-                if mark:
-                    if (mark == 1) == (lit > 0):
-                        continue  # duplicate literal
-                    keep = False  # tautology
-                    break
-                value = assigns[off + lit]
-                if value == 1:
-                    keep = False  # satisfied at level 0
-                    break
-                if value == 0:
-                    marks[var] = 1 if lit > 0 else 2
-                    simplified.append(lit)
-            for kept in simplified:
-                marks[kept if kept > 0 else -kept] = 0
-            if not keep:
-                continue
-            size = len(simplified)
-            if size == 0:
-                self._ok = False
-                if self._proof is not None:
-                    self._proof.add([])
-                return False
-            lit0 = simplified[0]
-            if size == 1:
-                self._enqueue(lit0, -1)
-                if self._propagate() >= 0:
+            # The short path: a list or tuple of 2 or 3 literals over
+            # distinct variables that exist and are unassigned (all
+            # assignments are at level 0 here) is stored as it stands,
+            # which is what the per-literal loop would make of it.
+            short = False
+            size = len(lits) if isinstance(lits, (list, tuple)) else 0
+            if size == 2 or size == 3:
+                a = lits[0]
+                b = lits[1]
+                c = lits[size - 1]  # b again in a binary clause
+                if (
+                    isinstance(a, int)
+                    and isinstance(b, int)
+                    and isinstance(c, int)
+                ):
+                    var_a = a if a > 0 else -a
+                    var_b = b if b > 0 else -b
+                    var_c = c if c > 0 else -c
+                    short = (
+                        0 < var_a <= nv
+                        and 0 < var_b <= nv
+                        and 0 < var_c <= nv
+                        and var_a != var_b
+                        and var_a != var_c
+                        and (size == 2 or var_b != var_c)
+                        and assigns[off + a] == 0
+                        and assigns[off + b] == 0
+                        and assigns[off + c] == 0
+                    )
+            stored: list[int] | tuple[int, ...]
+            if short:
+                stored = lits
+            else:
+                simplified: list[int] = []
+                keep = True
+                for lit in lits:
+                    if not isinstance(lit, int) or lit == 0:
+                        for kept in simplified:
+                            marks[kept if kept > 0 else -kept] = 0
+                        raise InvalidLiteralError(f"invalid literal {lit!r}")
+                    var = lit if lit > 0 else -lit
+                    if var > nv:
+                        self.ensure_var(var)
+                        nv = var
+                        assigns = self._assigns
+                        watches = self._watches
+                        off = self._off
+                    mark = marks[var]
+                    if mark:
+                        if (mark == 1) == (lit > 0):
+                            continue  # duplicate literal
+                        keep = False  # tautology
+                        break
+                    value = assigns[off + lit]
+                    if value == 1:
+                        keep = False  # satisfied at level 0
+                        break
+                    if value == 0:
+                        marks[var] = 1 if lit > 0 else 2
+                        simplified.append(lit)
+                for kept in simplified:
+                    marks[kept if kept > 0 else -kept] = 0
+                if not keep:
+                    continue
+                size = len(simplified)
+                if size == 0:
                     self._ok = False
                     if self._proof is not None:
                         self._proof.add([])
                     return False
-                continue
-            lit1 = simplified[1]
+                if size == 1:
+                    self._enqueue(simplified[0], -1)
+                    if self._propagate() >= 0:
+                        self._ok = False
+                        if self._proof is not None:
+                            self._proof.add([])
+                        return False
+                    continue
+                stored = simplified
+            lit0 = stored[0]
+            lit1 = stored[1]
             ref = len(arena)
             arena.append(size)
             arena.append(-1)
-            arena.extend(simplified)
+            arena.extend(stored)
             clause_refs.append(ref)
             tagged = ref << 1 | (1 if size == 2 else 0)
             watchers = watches[off + lit0]
@@ -1001,6 +1051,14 @@ class Kernel:
                 conflicts_since_restart += 1
                 if prof is not None:
                     prof.on_conflict()
+                # A level-0 conflict is recorded before anything can cut
+                # the search short: propagation has moved _qhead past the
+                # falsified clause, so no later solve would revisit it.
+                if not self._trail_lim:
+                    self._ok = False
+                    if self._proof is not None:
+                        self._proof.add([])
+                    return SolveResult.UNSAT
                 if (
                     self._progress_cb is not None
                     and stats.conflicts % self._progress_interval == 0
@@ -1018,11 +1076,6 @@ class Kernel:
                                     conflicts=stats.conflicts,
                                 )
                             return SolveResult.UNKNOWN
-                if not self._trail_lim:
-                    self._ok = False
-                    if self._proof is not None:
-                        self._proof.add([])
-                    return SolveResult.UNSAT
                 if len(self._trail_lim) <= self._n_assumptions_assigned():
                     core = self._core_from_conflict(
                         conflict, set(assumptions)

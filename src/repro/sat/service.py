@@ -184,9 +184,7 @@ def _service_worker(index, member, num_vars, clauses, conn, cancelled,
     probe_id = 0
 
     def check_cancel(snapshot) -> None:
-        # Never at a level-0 conflict: the search is about to record it
-        # as UNSAT, and interrupting there would lose it.
-        if cancelled.value >= probe_id and snapshot["decision_level"]:
+        if cancelled.value >= probe_id:
             raise _ProbeCancelled
         if os.getppid() != parent_pid:
             # The parent died mid-probe (e.g. a gateway pool worker was
@@ -742,9 +740,7 @@ class SolverService:
         """The primary's progress hook: read the helper replies that are
         ready; stop the primary once a helper proved the probe UNSAT."""
         self._poll()
-        # Never at a level-0 conflict: the primary is about to record it
-        # as UNSAT, and interrupting there would lose it.
-        if self._helper_unsat is not None and snapshot["decision_level"]:
+        if self._helper_unsat is not None:
             raise _ProbeCancelled
 
     # -- internals -----------------------------------------------------

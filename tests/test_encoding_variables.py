@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.encoding.variables import VariableRegistry
+from repro.logic.cnf import VarPool
 
 
 class TestRegistry:
@@ -60,3 +61,21 @@ class TestRegistry:
         reg.gone(0, 1)
         assert reg.num_primary == 3  # gone is an encoding refinement
         assert reg.num_structural == 1
+
+    def test_census_counts_family_names_of_a_shared_pool(self):
+        # The census is counted from the pool's names, so names the
+        # registry did not make (any hashable) must not break or skew it.
+        pool = VarPool()
+        for name in ("x", 7, (), ("arrival_sel", 0)):
+            pool.var(name)
+        reg = VariableRegistry(pool)
+        reg.border(0)
+        reg.occupies(0, 1, 2)
+        reg.occupies(0, 1, 2)
+        census = reg.census()
+        assert census["border"] == 1
+        assert census["occupies"] == 1
+        assert census["done"] == census["gone"] == census["chain"] == 0
+        assert census["total"] == 6
+        assert reg.num_primary == 2
+        assert reg.num_occupies == 1
