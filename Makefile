@@ -4,7 +4,7 @@ PYTHON ?= python
 	bench-portfolio bench-descent bench-lazy bench-profile bench-core \
 	bench-gateway
 
-# Tier-1 gate: the full test suite plus a 2-process portfolio/batch smoke
+# Tier-1 gate: the full test suite plus a 2-process solver-session smoke
 # on the running example, so the parallel paths are exercised on every run.
 tier1: test smoke
 
@@ -25,20 +25,30 @@ test-gateway:
 # The running-example verification is UNSAT by design, so exit 1 is the
 # expected outcome; any other code (0 = unexpectedly SAT, >=2 = crash) is
 # a distinct, loud failure rather than being folded into the same test.
+# Verification runs lazy, eager (one probe on the session) and with a
+# DRAT proof, which must check.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro generate --case running-example -j 2
-	PYTHONPATH=src $(PYTHON) -m repro verify --case running-example -j 2; \
+	@for flags in --lazy --no-lazy --proof; do \
+		out=$$(PYTHONPATH=src $(PYTHON) -m repro verify \
+			--case running-example -j 2 $$flags); \
 		rc=$$?; \
-		if [ $$rc -eq 1 ]; then \
-			echo "smoke: verify UNSAT as expected"; \
-		elif [ $$rc -eq 0 ]; then \
-			echo "smoke: verify unexpectedly SAT" >&2; exit 1; \
-		else \
-			echo "smoke: verify crashed with exit $$rc" >&2; \
+		echo "$$out"; \
+		if [ $$rc -eq 0 ]; then \
+			echo "smoke: verify -j 2 $$flags: unexpectedly SAT" >&2; \
+			exit 1; \
+		elif [ $$rc -ne 1 ]; then \
+			echo "smoke: verify -j 2 $$flags: exit $$rc" >&2; \
 			exit $$rc; \
-		fi
+		elif [ "$$flags" = "--proof" ] && ! echo "$$out" | \
+				grep -q "DRAT proof of infeasibility: VALID"; then \
+			echo "smoke: verify -j 2 --proof: proof not VALID" >&2; \
+			exit 1; \
+		fi; \
+		echo "smoke: verify -j 2 $$flags: UNSAT as expected"; \
+	done
 
-# Differential fuzz: FUZZ_COUNT seeded scenarios through all four solver
+# Differential fuzz: FUZZ_COUNT seeded scenarios through all three solver
 # paths; failing seeds are shrunk and written to fuzz-failures/.
 FUZZ_COUNT ?= 25
 FUZZ_SEED ?= 0

@@ -2,7 +2,6 @@
 
 * objective ablation: makespan vs total-arrival (paper §III-C's two
   readings of "efficient"),
-* clause preprocessing before verification,
 * incremental layout exploration vs fresh per-layout verification,
 * proof-backed verification overhead (DRAT logging + RUP checking).
 """
@@ -33,20 +32,6 @@ def test_objective_ablation(benchmark, studies, objective):
     benchmark.extra_info["arrivals"] = arrivals
     benchmark.extra_info["makespan"] = result.solution.makespan
     benchmark.extra_info["summed_arrivals"] = sum(arrivals.values())
-
-
-@pytest.mark.parametrize("presimplify", [False, True])
-def test_preprocessing_ablation(benchmark, studies, presimplify):
-    study = studies["Simple Layout"]
-    net = study.discretize()
-    result = benchmark.pedantic(
-        lambda: verify_schedule(
-            net, study.schedule, study.r_t_min, presimplify=presimplify
-        ),
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["presimplify"] = presimplify
-    assert not result.satisfiable  # verdict unchanged
 
 
 def test_explorer_vs_fresh_verification(benchmark, studies):

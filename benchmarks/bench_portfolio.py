@@ -64,8 +64,7 @@ def _record(benchmark, serial, serial_s, portfolio, portfolio_s):
         {
             **reg.as_dict(),
             "verdict": serial.satisfiable,
-            "winner": (portfolio.portfolio or {}).get("winner_name")
-            or (portfolio.portfolio or {}).get("winners"),
+            "winner": (portfolio.portfolio or {}).get("winners"),
         }
     )
     assert portfolio.satisfiable == serial.satisfiable

@@ -213,7 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="verify a schedule on pure TTDs")
     _add_scenario_args(verify)
-    _add_jobs_arg(verify, "race the solve over N portfolio processes")
+    _add_jobs_arg(verify, "race the solve over N processes: the serial "
+                          "solver plus N-1 forked helpers with diversified "
+                          "configurations.  --proof solves in this process "
+                          "at any N; the proof check dominates its time")
     _add_obs_args(verify)
     verify.add_argument("--lazy", action=argparse.BooleanOptionalAction,
                         default=True,
@@ -223,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "eager encoder; --proof implies eager)")
     _add_lazy_strategy_arg(verify)
     verify.add_argument("--proof", action="store_true",
-                        help="back UNSAT verdicts with a checked DRAT proof")
+                        help="back UNSAT verdicts with a checked DRAT "
+                             "proof (eager, solved in this process)")
     verify.add_argument("--explain", action="store_true",
                         help="on UNSAT, diagnose which trains' commitments "
                              "conflict")
@@ -325,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser(
         "fuzz", help="differentially fuzz random scenarios across the "
-                     "eager/lazy/portfolio/service solver paths"
+                     "eager/lazy/service solver paths"
     )
     fuzz.add_argument("--seed", type=int, default=0,
                       help="run seed; the whole run (scenarios, verdicts, "
@@ -333,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--count", type=int, default=25, metavar="N",
                       help="number of scenarios to generate (default 25)")
     fuzz.add_argument("-j", "--jobs", type=int, default=2, metavar="N",
-                      help="portfolio/service processes for the racing "
-                           "paths (default 2)")
+                      help="solver-service processes for the racing "
+                           "path (default 2)")
     fuzz.add_argument("--no-optimum", dest="check_optimum",
                       action="store_false",
                       help="skip the eager-vs-lazy generation-optimum "

@@ -38,8 +38,8 @@ TASKS = ("verify", "generate", "optimize", "fuzz")
 #: Parameters each task accepts from ``payload["params"]``.
 _TASK_PARAMS = {
     "verify": frozenset({
-        "parallel", "lazy", "lazy_strategy", "with_proof", "presimplify",
-        "profile", "guarded_arrivals",
+        "parallel", "lazy", "lazy_strategy", "with_proof", "profile",
+        "guarded_arrivals",
     }),
     "generate": frozenset({
         "strategy", "parallel", "timeout_s", "lazy", "lazy_strategy",

@@ -8,7 +8,7 @@ Cooperating pieces, all dependency-free and off by default:
   into the parent trace.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms under stable dotted
   names, absorbing solver statistics, encoder constraint-family sizes,
-  preprocessing effects, and portfolio race telemetry.
+  and probe-session race telemetry.
 * :mod:`repro.obs.profile` — the hot-path phase profiler: attributes CDCL
   search time to propagate/analyze/backtrack/decide/restart via sampled
   conflict intervals; exported as ``profile.*`` keys and rendered by

@@ -8,9 +8,9 @@ first, with a drop counter) and exported as JSON Lines via ``--events``.
 
 The module-global API mirrors :mod:`repro.obs.trace`: instrumentation
 points call :func:`emit` (one global read + no-op when disabled), the CLI
-installs an :class:`EventLog` around a run, and fork workers (portfolio
-members, service workers) install a fresh child log via :func:`fork_child`,
-ship :meth:`EventLog.drain` output in their outcome/reply dicts, and the
+installs an :class:`EventLog` around a run, and the solver service's
+forked helpers install a fresh child log via :func:`fork_child`, ship
+:meth:`EventLog.drain` output in their reply dicts, and the
 parent absorbs it with :func:`merge`.  Timestamps are ``perf_counter``
 values on the fork-shared monotonic clock, so :meth:`EventLog.export`
 can re-sequence the merged stream into one monotone order.

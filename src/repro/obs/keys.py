@@ -25,13 +25,12 @@ PREFIXES = frozenset({
     "fuzz",         # scenarios/fuzz.py — fuzz-harness events
     "gateway",      # gateway/server.py — always-on solve gateway
     "lazy",         # encoding/lazy.py — CEGAR refinement counters
-    "portfolio",    # sat/portfolio.py — one-shot portfolio counters
+    "portfolio",    # tasks/common.py — probe-session race summaries
     "profile",      # obs/profile.py — hot-path phase profiler
-    "retry",        # sat/service.py — worker retry/backoff counters
+    "retry",        # tasks/batch.py — worker retry/backoff counters
     "scenario",     # scenarios/fuzz.py — per-scenario fuzz metrics
     "service",      # sat/service.py — persistent solver service
     "share",        # sat/service.py — learned-clause exchange
-    "simplify",     # encoding/simplify.py — preprocessing counters
     "solver",       # sat/solver.py stats via absorb_solver_stats
     "task",         # tasks/*.py — task-level runtime gauges
 })

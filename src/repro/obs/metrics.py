@@ -2,8 +2,8 @@
 
 The registry is the single funnel for run telemetry: solver counters
 (conflicts, propagations, restarts, ...), encoder sizes per constraint
-family, preprocessing effects, portfolio race outcomes, and benchmark
-numbers all land here under dotted names (``solver.conflicts``,
+family, probe-session race outcomes, and benchmark numbers all land
+here under dotted names (``solver.conflicts``,
 ``encoder.placement.clauses``, ``portfolio.wins.base``), so every consumer
 — ``TaskResult.metrics``, the ``--metrics`` CLI flag, BENCH JSON — sees the
 same stable key set.
@@ -165,40 +165,10 @@ class MetricsRegistry:
         for family, sizes in family_stats.items():
             self.absorb_counters(sizes, f"{prefix}{family}.")
 
-    def absorb_simplify(self, stats, prefix: str = "simplify.") -> None:
-        """Absorb a :class:`repro.sat.simplify.SimplifyStats`."""
-        self.inc(f"{prefix}units_propagated", stats.units_propagated)
-        self.inc(f"{prefix}tautologies_removed", stats.tautologies_removed)
-        self.inc(f"{prefix}duplicates_removed", stats.duplicates_removed)
-        self.inc(f"{prefix}subsumed_removed", stats.subsumed_removed)
-        self.inc(
-            f"{prefix}literals_strengthened", stats.literals_strengthened
-        )
-
     def absorb_lazy(self, stats: dict) -> None:
         """Absorb a lazy-refinement summary (the ``lazy.*`` keys of
         :meth:`repro.encoding.lazy.LazyRefiner.stats`)."""
         self.absorb_counters(stats)
-
-    def absorb_portfolio(self, stats, prefix: str = "portfolio.") -> None:
-        """Absorb a :class:`repro.sat.portfolio.PortfolioStats` — per-member
-        outcomes, win counts, crash reasons, and the win margin."""
-        self.inc(f"{prefix}races")
-        self.observe(f"{prefix}wall_time_s", stats.wall_time_s)
-        self.set(f"{prefix}processes", stats.processes)
-        if stats.winner_name:
-            self.inc(f"{prefix}wins.{stats.winner_name}")
-        if stats.win_margin_s is not None:
-            self.observe(f"{prefix}win_margin_s", stats.win_margin_s)
-        if stats.serial_fallback:
-            self.inc(f"{prefix}serial_fallbacks")
-        for report in stats.workers:
-            if report.error:
-                self.inc(f"{prefix}crashes")
-            if report.finished:
-                self.observe(
-                    f"{prefix}member_solve_time_s", report.solve_time_s
-                )
 
     # -- output --------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Hierarchical span tracing with JSONL and Chrome-trace export.
 
-The pipeline (discretize → encode → simplify → solve → decode → validate)
+The pipeline (discretize → encode → load → solve → decode → validate)
 is instrumented with *spans*: named, nestable timing intervals.  Tracing is
 off by default and the instrumentation points are written so that the
 disabled path costs one module-global read and a no-op context manager —
@@ -21,7 +21,7 @@ The Chrome-trace JSON opens directly in Perfetto (https://ui.perfetto.dev)
 or ``chrome://tracing``.
 
 Timestamps are ``time.perf_counter()`` values.  On platforms with ``fork``
-(the only platforms where the portfolio and batch runner parallelise) the
+(the only platforms where the solver service and batch runner parallelise) the
 monotonic clock is shared between parent and children, so spans recorded in
 worker processes and merged back via :func:`merge` line up with the parent's
 spans on one common timeline; exports normalise all timestamps against the

@@ -10,13 +10,13 @@ Public entry points:
 * :class:`Solver` — the CDCL solver (add clauses, solve under assumptions,
   read back models and unsat cores).
 * :class:`SolveResult` — SAT / UNSAT / UNKNOWN verdicts.
-* :func:`solve_portfolio` — one-shot parallel portfolio race over
-  diversified configs (eager parallel verification, DRAT proofs).
 * :func:`open_session` — the probe session of a descent or lazy
   refinement loop: :class:`SerialSession` (one in-process incremental
   solver) at ``parallel=1``, the resident :class:`SolverService` above
   it, which falls back to a serial session when it cannot fork or loses
   its last worker.
+* :func:`solve_portfolio` — one probe on a fresh session (eager
+  verification), optionally logging a DRAT proof in process.
 * :func:`parse_dimacs` / :func:`write_dimacs` — DIMACS CNF interchange.
 
 The solver runs on one engine, the flat-array kernel, which also logs
@@ -29,12 +29,8 @@ from repro.sat.dimacs import parse_dimacs, parse_dimacs_file, write_dimacs
 from repro.sat.kernel import kernel_build
 from repro.sat.portfolio import (
     PortfolioDisagreementError,
-    PortfolioError,
     PortfolioMember,
-    PortfolioResult,
-    PortfolioStats,
     diversified_members,
-    solve_portfolio,
 )
 from repro.sat.proof import ProofLogger, check_rup_proof, parse_drat
 from repro.sat.service import (
@@ -43,8 +39,8 @@ from repro.sat.service import (
     ServiceError,
     SolverService,
     open_session,
+    solve_portfolio,
 )
-from repro.sat.simplify import SimplifyStats, simplify_clauses
 from repro.sat.solver import Solver
 from repro.sat.types import SolverConfig, SolverStats, SolveResult
 
@@ -54,9 +50,6 @@ __all__ = [
     "SolverConfig",
     "SolverStats",
     "PortfolioMember",
-    "PortfolioResult",
-    "PortfolioStats",
-    "PortfolioError",
     "PortfolioDisagreementError",
     "diversified_members",
     "solve_portfolio",
@@ -66,8 +59,6 @@ __all__ = [
     "ProbeOutcome",
     "open_session",
     "ProofLogger",
-    "SimplifyStats",
-    "simplify_clauses",
     "check_rup_proof",
     "parse_drat",
     "parse_dimacs",

@@ -2,8 +2,9 @@
 
 The optimisation descents in :mod:`repro.opt` and the lazy verification
 loop in :mod:`repro.encoding.lazy` solve one growing clause set many
-times under changing assumptions.  Both run on a *probe session* with
-one contract: the clause list is held by reference, clauses appended
+times under changing assumptions; eager verification solves its formula
+once, as one probe on a fresh session (:func:`solve_portfolio`).  All
+of them run on a *probe session* with one contract: the clause list is held by reference, clauses appended
 since the last probe are loaded as the next probe's delta, and
 ``probe(assumptions, timeout_s)`` answers with a :class:`ProbeOutcome`;
 ``summary()``, ``solver_stats()`` and ``close()`` complete it.
@@ -80,6 +81,7 @@ from repro.sat.portfolio import (
     fork_available,
     member_config_dict,
 )
+from repro.sat.proof import ProofLogger
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
@@ -996,3 +998,40 @@ def open_session(
         members=members or diversified_members(parallel, base=base),
         processes=parallel,
     ).start()
+
+
+def solve_portfolio(
+    num_vars: int,
+    clauses: list[list[int]],
+    parallel: int = 1,
+    base: SolverConfig | None = None,
+    proof: ProofLogger | None = None,
+) -> tuple[ProbeOutcome, SerialSession | SolverService]:
+    """Solve ``clauses`` once: open a session, probe it, close it.
+
+    ``parallel`` and ``base`` pick the session as for
+    :func:`open_session`.  With a ``proof`` logger the session is a
+    :class:`SerialSession` at every ``parallel``: the logger is attached
+    to its solver before the clauses load (a load-time conflict logs the
+    empty clause), and a helper's UNSAT would carry no log.
+
+    Returns the probe's outcome and the closed session, whose
+    ``summary()``, ``solver_stats()`` and ``solver`` include the helper
+    replies read at close.
+    """
+    if proof is None:
+        session = open_session(num_vars, clauses, parallel, base=base)
+    else:
+        def logged(config: SolverConfig) -> Solver:
+            solver = Solver(config)
+            solver.attach_proof(proof)
+            return solver
+
+        session = SerialSession(
+            num_vars, clauses, base, solver_factory=logged
+        ).start()
+    try:
+        outcome = session.probe()
+    finally:
+        session.close()
+    return outcome, session

@@ -1,12 +1,11 @@
 """Randomized differential fuzz harness over solver paths.
 
-Every scenario the generator mints is solved through four independent
+Every scenario the generator mints is solved through three independent
 pipelines that must agree bit-for-bit on the verdict:
 
-* ``eager``     — serial solve of the full eager encoding;
-* ``lazy``      — serial CEGAR loop over the lazily-deferred families;
-* ``portfolio`` — eager encoding raced through the process portfolio;
-* ``service``   — CEGAR loop on the resident incremental solver service.
+* ``eager``   — serial solve of the full eager encoding;
+* ``lazy``    — serial CEGAR loop over the lazily-deferred families;
+* ``service`` — CEGAR loop on the resident incremental solver service.
 
 Optionally the generation task's optimum (minimum added VSS borders) is
 cross-checked between the eager and lazy descents — the lazy refinement
@@ -37,7 +36,7 @@ from repro.scenarios.spec import Scenario, ScenarioSpec, scenario_from_json
 from repro.trains.schedule import Schedule
 
 #: The solver paths every scenario is pushed through.
-PATHS = ("eager", "lazy", "portfolio", "service")
+PATHS = ("eager", "lazy", "service")
 
 
 def solve_path(scenario: Scenario, path: str, jobs: int = 2,
@@ -55,11 +54,6 @@ def solve_path(scenario: Scenario, path: str, jobs: int = 2,
         return verify_schedule(
             net, scenario.schedule, scenario.r_t_min,
             lazy=True, parallel=1, profile=profile,
-        )
-    if path == "portfolio":
-        return verify_schedule(
-            net, scenario.schedule, scenario.r_t_min,
-            lazy=False, parallel=jobs, profile=profile,
         )
     if path == "service":
         return verify_schedule(

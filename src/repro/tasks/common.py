@@ -6,7 +6,6 @@ from repro.encoding.decode import Solution
 from repro.encoding.encoder import EncodingOptions, EtcsEncoding
 from repro.encoding.validate import validate_solution
 from repro.network.discretize import DiscreteNetwork
-from repro.obs import events as obs_events
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.opt.result import STATUS_TIMEOUT
@@ -82,6 +81,25 @@ def record_solver(
         reg.observe("solver.restart_conflicts", delta)
 
 
+def record_session(reg: MetricsRegistry, summary: dict | None) -> None:
+    """Absorb a probe session's ``summary()`` (None for a serial one):
+    race counts and wins as ``portfolio.*``, and the session counters."""
+    if not summary:
+        return
+    reg.set("portfolio.processes", summary.get("processes", 0))
+    reg.inc("portfolio.races", summary.get("calls", 0))
+    reg.observe("portfolio.wall_time_s", summary.get("wall_time_s", 0.0))
+    for member, count in summary.get("winners", {}).items():
+        reg.inc(f"portfolio.wins.{member}", count)
+    service = summary.get("service")
+    if service:
+        # ``service.*`` / ``share.*`` session counters, including
+        # ``service.worker_crashes`` for helpers that died mid-session.
+        reg.merge_dict(service.get("counters", {}))
+        if service.get("fallback"):
+            reg.inc("service.fallbacks")
+
+
 def record_descent(reg: MetricsRegistry, result) -> None:
     """Absorb a :class:`MinimizeResult`'s counters and race summary."""
     reg.absorb_solver_stats(result.solver_stats)
@@ -102,29 +120,4 @@ def record_descent(reg: MetricsRegistry, result) -> None:
     deadline_hits = result.solver_stats.get("deadline_hits", 0)
     if deadline_hits:
         reg.inc("deadline.solver_hits", deadline_hits)
-    if result.portfolio:
-        reg.set("portfolio.processes", result.portfolio.get("processes", 0))
-        reg.inc("portfolio.races", result.portfolio.get("calls", 0))
-        reg.observe(
-            "portfolio.wall_time_s", result.portfolio.get("wall_time_s", 0.0)
-        )
-        for member, count in result.portfolio.get("winners", {}).items():
-            reg.inc(f"portfolio.wins.{member}", count)
-        service = result.portfolio.get("service")
-        if service:
-            # ``service.*`` / ``share.*`` session counters, including
-            # ``service.worker_crashes`` for mid-descent deaths.
-            reg.merge_dict(service.get("counters", {}))
-            if service.get("fallback"):
-                reg.inc("service.fallbacks")
-
-
-def attach_progress(solver: Solver, interval_conflicts: int = 2000) -> None:
-    """Feed periodic solver progress snapshots into the trace and the
-    structured event stream (whichever are enabled), and forward the
-    solver's own events (restarts, deadline hits) to the event log."""
-    progress = obs_events.progress_callback()
-    if progress is not None:
-        solver.on_progress(progress, interval_conflicts=interval_conflicts)
-    if obs_events.enabled():
-        solver.on_event(obs_events.emit)
+    record_session(reg, result.portfolio)

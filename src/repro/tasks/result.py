@@ -32,9 +32,10 @@ class TaskResult:
         solver_stats: cumulative solver counters.
         metrics: the run's metrics-registry payload (stable dotted keys:
             ``solver.*``, ``encoder.<family>.*``, ``portfolio.*``, ...).
-        portfolio: portfolio-race summary when the task ran with
-            ``parallel > 1`` (winner members, processes, wall time); None on
-            the serial path.
+        portfolio: the probe session's race summary when the task ran
+            with ``parallel > 1`` (winner members, processes, wall time,
+            service counters); None on the serial path, and for proof
+            runs, which solve in process.
 
     Anytime/resilience detail (see :mod:`repro.opt.result`):
         status: how the optimisation ended — "optimal", "feasible",

@@ -22,20 +22,18 @@ from repro.obs.metrics import MetricsRegistry
 from repro.opt.checkpoint import descent_fingerprint, warm_compatible
 from repro.sat import (
     ProofLogger,
-    Solver,
     SolverConfig,
+    SolveResult,
     check_rup_proof,
-    diversified_members,
-    simplify_clauses,
     solve_portfolio,
 )
 from repro.network.discretize import DiscreteNetwork
 from repro.network.sections import VSSLayout
 from repro.tasks.common import (
-    attach_progress,
     build_encoding,
     checked_decode,
     record_encoding,
+    record_session,
     record_solver,
 )
 from repro.tasks.result import TaskResult
@@ -50,7 +48,6 @@ def verify_schedule(
     options: EncodingOptions | None = None,
     waypoints: list[tuple[str, str, int]] | None = None,
     with_proof: bool = False,
-    presimplify: bool = False,
     parallel: int = 1,
     lazy: bool = True,
     lazy_strategy: str = DEFAULT_LAZY_STRATEGY,
@@ -68,25 +65,26 @@ def verify_schedule(
     ``TaskResult.proof_checked``.  (Slower — the checker is deliberately
     naive; use for high-assurance runs.)
 
-    ``presimplify`` runs the clause preprocessor (unit propagation,
-    subsumption, strengthening — :mod:`repro.sat.simplify`) before solving;
-    the verdict is unaffected, the solver's workload shrinks.
-
-    ``parallel > 1`` races the solve through a process portfolio of that
-    many diversified solver configurations (:mod:`repro.sat.portfolio`);
-    the verdict is provably unchanged and the witness stays deterministic.
-    ``parallel=1`` is exactly the serial path.
+    ``parallel > 1`` runs the solve on a probe session
+    (:func:`repro.sat.open_session`): its in-process primary, the serial
+    solver, is raced by ``parallel - 1`` forked helpers with
+    diversified configurations.  The verdict is provably unchanged, and
+    SAT models come only from the primary.  ``parallel=1`` is exactly
+    the serial path.
 
     ``lazy`` (the default) defers the cross-train constraint families to
     the CEGAR loop in :mod:`repro.encoding.lazy` — same verdict, usually
-    far fewer clauses.  Proof logging and presimplification need the
-    full clause set as fixed premises, so either of them forces the
-    eager encoder.  ``lazy_strategy`` picks the refiner's
+    far fewer clauses — and probes the session once per refinement
+    round.  Eager verification (``lazy=False``) is one probe
+    (:func:`repro.sat.solve_portfolio`).  Proof logging needs the full
+    clause set as fixed premises, so it forces the eager encoder, and
+    the proof comes from a solver in this process at every
+    ``parallel``.  ``lazy_strategy`` picks the refiner's
     grouping/selection cell (see :class:`repro.encoding.lazy.LazyRefiner`);
     every cell yields the same verdict.
 
     ``profile`` turns on the hot-path phase profiler in every solver the
-    task creates (serial, portfolio members, lazy rounds); the
+    task creates (the primary and its helpers, eager or lazy); the
     attribution lands as ``profile.*`` metrics (see
     :mod:`repro.obs.profile`), with ≤5 % wall overhead.
 
@@ -104,8 +102,7 @@ def verify_schedule(
     """
     start = time.perf_counter()
     reg = MetricsRegistry()
-    use_lazy = lazy and not with_proof and not presimplify
-    member_base = SolverConfig(profile=True) if profile else None
+    use_lazy = lazy and not with_proof
     with trace.span("verify", parallel=parallel, lazy=use_lazy) as task_span:
         if layout is None:
             layout = VSSLayout.pure_ttd(net)
@@ -118,21 +115,13 @@ def verify_schedule(
                 encoding.pin_waypoints(waypoints)
         record_encoding(reg, encoding)
 
-        clauses = encoding.cnf.clauses
-        enabled = presimplify and not with_proof
-        with trace.span("simplify", enabled=enabled):
-            if enabled:
-                # (Proof logging needs the original clauses to remain the
-                # proof's premises, so the two options are mutually
-                # exclusive by design.)
-                clauses, simplify_stats = simplify_clauses(clauses)
-                reg.absorb_simplify(simplify_stats)
-
         fingerprint = descent_fingerprint(
             encoding.cnf.num_vars, encoding.cnf.num_clauses, [], "verify"
         )
-        portfolio_summary = None
         solve_calls = 1
+        proof_checked = None
+        portfolio_summary = None
+        solver_stats: dict = {}
         warm_used = False
         if (
             warm_hints
@@ -159,99 +148,51 @@ def verify_schedule(
         if warm_used:
             # Witness replay: the cached model satisfies every clause of
             # *this* instance, so SAT is certified without a solver call.
-            satisfiable = True
+            true_vars = hint_vars
             solve_calls = 0
-            proof_checked = None
-            solver_stats: dict = {}
             reg.inc("task.warm_hits")
-            with trace.span("decode", satisfiable=True):
-                solution = checked_decode(encoding, hint_vars)
-            model_lits = sorted(hint_vars)
         elif use_lazy:
             with trace.span("solve", lazy=True, processes=parallel):
                 outcome = solve_lazy_verification(
                     encoding, parallel=parallel, strategy=lazy_strategy,
                     profile=profile,
                 )
-            satisfiable = outcome.satisfiable
+            true_vars = outcome.true_vars
             solve_calls = outcome.solve_calls
-            proof_checked = None
-            portfolio_summary = outcome.portfolio
-            with trace.span("decode", satisfiable=satisfiable):
-                solution = (
-                    checked_decode(encoding, outcome.true_vars)
-                    if satisfiable
-                    else None
-                )
-            record_solver(reg, outcome.solver, outcome.solver_stats)
             solver_stats = outcome.solver_stats
+            portfolio_summary = outcome.portfolio
+            record_solver(reg, outcome.solver, solver_stats)
             reg.absorb_lazy(outcome.refiner.stats())
             task_span.add(lazy_rounds=outcome.refiner.rounds)
-            model_lits = sorted(outcome.true_vars) if satisfiable else []
-        elif parallel > 1:
-            with trace.span("solve", processes=parallel):
-                race = solve_portfolio(
-                    encoding.cnf.num_vars, clauses,
-                    members=diversified_members(parallel, base=member_base),
-                    processes=parallel, with_proof=with_proof,
-                )
-            satisfiable = bool(race)
-            proof_checked = None
-            with trace.span("decode", satisfiable=satisfiable):
-                solution = (
-                    checked_decode(encoding, race.true_set())
-                    if satisfiable
-                    else None
-                )
-            if (
-                not satisfiable
-                and with_proof
-                and race.proof_steps is not None
-            ):
-                with trace.span("check-proof"):
-                    proof_checked = check_rup_proof(
-                        encoding.cnf.num_vars, clauses, race.proof_steps
-                    )
-            solver_stats = race.stats.merged_counters() if race.stats else {}
-            if race.stats:
-                portfolio_summary = race.stats.as_dict()
-                reg.absorb_portfolio(race.stats)
-            reg.absorb_solver_stats(solver_stats)
-            model_lits = sorted(race.true_set()) if satisfiable else []
         else:
-            logger = None
-            solver = Solver(SolverConfig(profile=profile))
-            if with_proof:
-                logger = ProofLogger()
-                solver.attach_proof(logger)
-            attach_progress(solver)
-            with trace.span("load", clauses=len(clauses)):
-                solver.ensure_var(max(encoding.cnf.num_vars, 1))
-                solver.add_clauses(clauses)
-            with trace.span("solve"):
-                verdict = solver.solve()
-            satisfiable = bool(verdict)
-            proof_checked = None
-            true_vars = (
-                {lit for lit in solver.model() if lit > 0}
-                if satisfiable
-                else set()
-            )
-            with trace.span("decode", satisfiable=satisfiable):
-                solution = (
-                    checked_decode(encoding, true_vars)
-                    if satisfiable
-                    else None
+            logger = ProofLogger() if with_proof else None
+            with trace.span("solve", processes=parallel):
+                answer, session = solve_portfolio(
+                    encoding.cnf.num_vars, encoding.cnf.clauses, parallel,
+                    base=SolverConfig(profile=True) if profile else None,
+                    proof=logger,
                 )
-            if not satisfiable and logger is not None:
+            true_vars = (
+                {lit for lit in answer.model if lit > 0}
+                if answer.verdict is SolveResult.SAT
+                else None
+            )
+            solver_stats = session.solver_stats()
+            portfolio_summary = session.summary()
+            record_solver(reg, session.solver, solver_stats)
+            if logger is not None and true_vars is None:
                 with trace.span("check-proof"):
                     proof_checked = check_rup_proof(
                         encoding.cnf.num_vars, encoding.cnf.clauses,
                         logger.steps,
                     )
-            record_solver(reg, solver)
-            solver_stats = solver.stats.as_dict()
-            model_lits = sorted(true_vars)
+        record_session(reg, portfolio_summary)
+        satisfiable = true_vars is not None
+        with trace.span("decode", satisfiable=satisfiable):
+            solution = (
+                checked_decode(encoding, true_vars) if satisfiable else None
+            )
+        model_lits = sorted(true_vars) if satisfiable else []
         task_span.add(satisfiable=satisfiable, warm=warm_used)
     runtime = time.perf_counter() - start
     reg.set("task.runtime_s", runtime)

@@ -1,14 +1,14 @@
 """Deterministic fault injection for the resilience test tier.
 
-The crash/fallback paths of the solver service, the one-shot portfolio,
-the batch runner, and the checkpoint writer are hard to reach naturally:
-they trigger on worker death, wedged searches, and failing disks.  This
+The crash/fallback paths of the solver service, the batch runner, and
+the checkpoint writer are hard to reach naturally: they trigger on
+worker death, wedged searches, and failing disks.  This
 module makes those events *reproducible*: a :class:`FaultPlan` armed via
 the ``REPRO_FAULTS`` environment variable (a JSON object) tells the
 production hooks below exactly where to misbehave — kill this member at
 that probe, hang for so long, fail the Nth checkpoint write.
 
-The environment is the transport on purpose: portfolio workers and the
+The environment is the transport on purpose: batch workers and the
 solver service's helpers are forked children, so an armed plan reaches
 them with zero plumbing.  The hooks fire only in those workers: the
 solver service's primary member (member 0, "base" by default) solves
@@ -48,7 +48,7 @@ class FaultPlan:
     """One deterministic misbehaviour, keyed by member/probe/attempt.
 
     Attributes:
-        kill_member: portfolio member or service helper that SIGKILLs
+        kill_member: service helper that SIGKILLs
             its own process at probe number ``kill_probe`` (1-based; 0 =
             during worker startup, before the solver is built).  A
             service helper only sees the probes it takes part in: one
@@ -144,7 +144,7 @@ def _die() -> None:
 
 
 def on_worker_start(member_name: str) -> None:
-    """Called once when a portfolio worker or service helper comes up."""
+    """Called once when a service helper comes up."""
     plan = active_plan()
     if plan is None:
         return

@@ -197,6 +197,9 @@ class TestLazyFaults:
         assert result.metrics["lazy.rounds"] >= 1
         service = result.portfolio["service"]
         assert service["counters"].get("service.worker_crashes", 0) >= 1
+        # The crash and the fallback reach the task's metrics too.
+        assert result.metrics["service.worker_crashes"] == 1
+        assert result.metrics["service.fallbacks"] == 1
 
     def test_service_death_mid_refinement_falls_back(self):
         # The only helper dies at probe 1 (the relaxation solve, which

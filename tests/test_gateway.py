@@ -304,23 +304,24 @@ class TestGatewayEndToEnd:
         assert gateway.status()["ok"]
 
     def test_persistent_param_is_rejected(self, gateway):
-        # Descents have one parallel path and no switch to pick another:
-        # `persistent` is an unknown parameter, and the connection that
-        # sent it keeps serving.
+        # Descents have one parallel path and no switch to pick another,
+        # and verification has no preprocessor: `persistent` and
+        # `presimplify` are unknown parameters, and the connection that
+        # sent them keeps serving.
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
             sock.settimeout(120)
             sock.connect(gateway.socket_path)
             with sock.makefile("rwb") as stream:
-                for task in ("generate", "optimize"):
-                    payload = _inline_payload(
-                        task, params={"persistent": True}
-                    )
+                for task, param in (("generate", "persistent"),
+                                    ("optimize", "persistent"),
+                                    ("verify", "presimplify")):
+                    payload = _inline_payload(task, params={param: True})
                     stream.write(json.dumps(payload).encode() + b"\n")
                     stream.flush()
                     response = json.loads(stream.readline())
                     assert not response["ok"]
                     assert response["kind"] == "request"
-                    assert "persistent" in response["error"]
+                    assert param in response["error"]
                 stream.write(b'{"op": "status"}\n')
                 stream.flush()
                 assert json.loads(stream.readline())["ok"]

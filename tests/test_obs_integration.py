@@ -8,13 +8,19 @@ import pytest
 
 from repro.cli import main
 from repro.obs import trace
-from repro.sat import Solver, solve_portfolio
+from repro.sat import (
+    PortfolioMember,
+    Solver,
+    SolverConfig,
+    SolverService,
+    solve_portfolio,
+)
 from repro.sat.portfolio import fork_available
 from repro.sat.types import SolverStats
 from repro.tasks.batch import BatchJob, run_batch
 from repro.tasks.result import TaskResult
 from repro.tasks.verification import verify_schedule
-from tests.test_portfolio_runner import UNSAT_CNF, crashing_member
+from tests.test_portfolio_runner import UNSAT_CNF, crashing_factory
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -92,27 +98,27 @@ class TestStatsAlias:
             assert result.stats == {"conflicts": 5}
 
 
-# --- portfolio crash telemetry ---------------------------------------------
+# --- service helper crash telemetry ----------------------------------------
 
 
 @needs_fork
 class TestCrashTelemetry:
     def test_crash_report_carries_config_and_traceback(self):
         num_vars, clauses = UNSAT_CNF
-        members = [crashing_member("c1"), crashing_member("c2")]
-        result = solve_portfolio(
-            num_vars, clauses, members=members, processes=2
-        )
-        assert result.stats.serial_fallback
-        crashes = [r for r in result.stats.workers
-                   if "crash" in r.error]
-        assert crashes
-        for crash in crashes:
-            assert "injected portfolio worker crash" in crash.error
-            assert "RuntimeError" in crash.traceback
-            assert "Traceback" in crash.traceback
-            assert crash.config  # the member's SolverConfig as a dict
-            assert "random_seed" in crash.config
+        members = [
+            PortfolioMember("base", SolverConfig()),
+            PortfolioMember("crash", SolverConfig(random_seed=7),
+                            solver_factory=crashing_factory),
+        ]
+        with SolverService(num_vars, clauses, members=members) as service:
+            service.probe()
+        crash = service.reports[1]
+        assert "injected portfolio worker crash" in crash.error
+        assert "RuntimeError" in crash.traceback
+        assert "Traceback" in crash.traceback
+        assert crash.config  # the member's SolverConfig as a dict
+        assert crash.config["random_seed"] == 7
+        assert service.summary()["service"]["fallback"]
 
 
 # --- fork-merge of worker spans --------------------------------------------
@@ -128,10 +134,10 @@ class TestForkMerge:
     def test_portfolio_member_spans_merge_into_parent(self):
         tracer = trace.install(trace.Tracer())
         num_vars, clauses = UNSAT_CNF
-        solve_portfolio(num_vars, clauses, processes=2)
+        solve_portfolio(num_vars, clauses, parallel=2)
         member_spans = [s for s in tracer.spans if s.tid != "main"]
-        assert member_spans, "worker spans were not merged"
-        assert {"portfolio.member", "load", "solve"} <= {
+        assert member_spans, "helper spans were not merged"
+        assert {"service.load", "service.probe"} <= {
             s.name for s in member_spans
         }
 
@@ -172,7 +178,7 @@ class TestTaskInstrumentation:
         tracer = trace.install(trace.Tracer())
         result = verify_schedule(micro_net, single_train_schedule, 0.5)
         names = {span.name for span in tracer.spans}
-        assert {"verify", "encode", "simplify", "solve", "decode"} <= names
+        assert {"verify", "encode", "solve", "decode"} <= names
         assert result.metrics["solver.conflicts"] >= 0
         assert result.metrics["encoder.vars"] > 0
         assert any(
@@ -190,7 +196,7 @@ class TestTaskInstrumentation:
         assert not trace.enabled()  # the CLI uninstalls its tracer
         records = trace.read_jsonl(trace_path)
         names = {r["name"] for r in records}
-        assert {"verify", "encode", "simplify", "solve", "decode"} <= names
+        assert {"verify", "encode", "solve", "decode"} <= names
         with open(metrics_path) as handle:
             metrics = json.load(handle)
         assert "solver.conflicts" in metrics

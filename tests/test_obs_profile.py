@@ -197,21 +197,26 @@ class TestMetricsAbsorption:
 
 class TestForkMerge:
     def test_portfolio_merges_member_profiles(self):
-        from repro.sat.portfolio import diversified_members, solve_portfolio
+        from repro.sat import open_session
+        from repro.sat.portfolio import fork_available
 
-        num_vars, clauses = _php_clauses(5)
-        members = diversified_members(2, base=SolverConfig(profile=True))
-        result = solve_portfolio(
-            num_vars, clauses, members=members, processes=2
-        )
-        assert result.verdict is SolveResult.UNSAT
-        if result.stats is None or result.stats.serial_fallback:
+        if not fork_available():
             pytest.skip("no fork available on this platform")
-        merged = result.stats.merged_counters()
-        assert merged.get("profile.propagate.count", 0) > 0
-        # Finished members each contribute their intervals counter.
-        finished = [r for r in result.stats.workers if r.finished]
-        assert merged["profile.intervals"] >= len(finished)
+        # PHP(7, 6) keeps the primary busy long enough for the helper to
+        # search before the probe ends.
+        num_vars, clauses = _php_clauses(6)
+        session = open_session(num_vars, clauses, parallel=2,
+                               base=SolverConfig(profile=True))
+        try:
+            assert session.probe().verdict is SolveResult.UNSAT
+        finally:
+            session.close()
+        primary = session.solver.stats.as_dict()
+        merged = session.solver_stats()
+        # Every helper reply's profile counters are summed in.  (A
+        # primary stopped by the helper's UNSAT has none of its own.)
+        for key in ("profile.propagate.count", "profile.intervals"):
+            assert merged[key] > primary.get(key, 0)
 
     def test_lazy_verification_profiles_when_asked(self, micro_net,
                                                   single_train_schedule):

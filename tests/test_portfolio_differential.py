@@ -5,13 +5,14 @@ provably agrees, so this suite drives Hypothesis-generated random CNFs and
 small random ETCS scenarios through
 
 * every diversified portfolio member (in-process),
-* the actual multi-process portfolio runner,
+* the one-shot session solve at ``parallel=2`` (an in-process primary
+  raced by a forked helper),
 * the plain serial solver, and
 * a brute-force reference,
 
-and requires identical SAT/UNSAT verdicts everywhere.  UNSAT portfolio
-answers with proof logging must additionally ship a DRAT refutation that
-the independent RUP checker accepts.
+and requires identical SAT/UNSAT verdicts everywhere.  UNSAT answers
+with proof logging must additionally carry a DRAT refutation that the
+independent RUP checker accepts.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.network.builder import NetworkBuilder
 from repro.network.discretize import DiscreteNetwork
 from repro.sat import (
+    ProofLogger,
     Solver,
     SolveResult,
     check_rup_proof,
@@ -97,16 +99,16 @@ class TestMemberAgreement:
 
 @needs_fork
 class TestPortfolioAgreement:
-    """The multi-process race returns exactly the serial verdict."""
+    """The one-shot session solve returns exactly the serial verdict."""
 
     @given(clauses_strategy())
     @settings(max_examples=40, deadline=None)
     def test_race_matches_serial(self, clauses):
         serial = solve_with(MEMBERS[0], 5, clauses)
-        raced = solve_portfolio(5, clauses, processes=2, timeout_s=60)
+        raced, __ = solve_portfolio(5, clauses, parallel=2)
         assert raced.verdict == serial
         if raced.verdict is SolveResult.SAT:
-            true_set = raced.true_set()
+            true_set = {lit for lit in raced.model if lit > 0}
             for clause in clauses:
                 assert any(
                     lit in true_set if lit > 0 else abs(lit) not in true_set
@@ -118,12 +120,11 @@ class TestPortfolioAgreement:
     def test_unsat_races_ship_checkable_drat_proofs(self, clauses):
         # Short clauses over few variables skew UNSAT, which is the case
         # this test is after; SAT examples just assert the verdict.
-        raced = solve_portfolio(4, clauses, processes=2, with_proof=True,
-                                timeout_s=60)
+        logger = ProofLogger()
+        raced, __ = solve_portfolio(4, clauses, parallel=2, proof=logger)
         assert (raced.verdict is SolveResult.SAT) == brute_force(4, clauses)
         if raced.verdict is SolveResult.UNSAT:
-            assert raced.proof_steps is not None
-            assert check_rup_proof(4, clauses, raced.proof_steps)
+            assert check_rup_proof(4, clauses, logger.steps)
 
 
 def micro_scenario(length_km, speed_kmh, train_length_m, arrival_min,
@@ -165,8 +166,10 @@ def micro_scenario(length_km, speed_kmh, train_length_m, arrival_min,
 
 @needs_fork
 class TestEtcsScenarioAgreement:
-    """Serial and portfolio verification agree on random ETCS scenarios."""
+    """Serial and portfolio verification agree on random ETCS scenarios,
+    eager (one probe) and lazy (a probe per refinement round) alike."""
 
+    @pytest.mark.parametrize("lazy", [True, False])
     @given(
         length_km=st.sampled_from([0.5, 1.0]),
         speed_kmh=st.sampled_from([60.0, 120.0]),
@@ -177,7 +180,8 @@ class TestEtcsScenarioAgreement:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_verification_verdict_and_metadata_agree(
-        self, length_km, speed_kmh, train_length_m, arrival_min, opposing
+        self, lazy, length_km, speed_kmh, train_length_m, arrival_min,
+        opposing,
     ):
         try:
             net, schedule = micro_scenario(
@@ -185,8 +189,8 @@ class TestEtcsScenarioAgreement:
             )
         except ScheduleError:
             return  # scenario does not discretise: nothing to compare
-        serial = verify_schedule(net, schedule, 1.0)
-        raced = verify_schedule(net, schedule, 1.0, parallel=2)
+        serial = verify_schedule(net, schedule, 1.0, lazy=lazy)
+        raced = verify_schedule(net, schedule, 1.0, lazy=lazy, parallel=2)
         assert raced.satisfiable == serial.satisfiable
         assert raced.num_sections == serial.num_sections
         assert raced.time_steps == serial.time_steps

@@ -1,9 +1,9 @@
 """Progress/event delivery under the parallel solve paths (satellite).
 
 Covers ``Solver.on_progress`` snapshots and event-stream delivery when a
-portfolio race or a solver-service probe is in flight — including the
-awkward case of a wall deadline expiring mid-solve, where the callbacks
-must keep arriving right up to the cooperative give-up.
+solver-service probe is in flight — including the awkward case of a
+wall deadline expiring mid-solve, where the callbacks must keep arriving
+right up to the cooperative give-up.
 """
 
 from __future__ import annotations
@@ -11,14 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import events
-from repro.sat import (
-    PortfolioMember,
-    Solver,
-    SolveResult,
-    SolverConfig,
-    solve_portfolio,
-)
-from repro.sat import portfolio as portfolio_module
+from repro.sat import Solver, SolveResult, SolverConfig
 from repro.sat import service as service_module
 from repro.sat.portfolio import fork_available
 from repro.sat.service import SolverService
@@ -71,44 +64,6 @@ class TestSerialDeadlineDelivery:
         # The deadline event carries the conflict count at expiry.
         hit = [r for r in log.export() if r["kind"] == "deadline.hit"][-1]
         assert hit["args"]["conflicts"] > 0
-
-
-@needs_fork
-class TestPortfolioDelivery:
-    def test_member_progress_events_are_merged(self, monkeypatch):
-        monkeypatch.setattr(portfolio_module, "_PROGRESS_EVERY", 20)
-        log = events.install(events.EventLog())
-        num_vars, clauses = _php(6)
-        result = solve_portfolio(num_vars, clauses, processes=2)
-        assert result.verdict is SolveResult.UNSAT
-        merged = log.export()
-        progress = [r for r in merged if r["kind"] == "progress"]
-        assert progress, "no member progress events reached the parent"
-        # Worker events name their member and keep their worker source.
-        assert all("member" in r["args"] for r in progress)
-        assert {r["source"] for r in progress} != {"main"}
-        seqs = [r["seq"] for r in merged]
-        assert seqs == sorted(seqs)
-
-    def test_deadline_expires_mid_race(self, monkeypatch):
-        """Members on a wall budget still deliver progress + the hit."""
-        monkeypatch.setattr(portfolio_module, "_PROGRESS_EVERY", 20)
-        log = events.install(events.EventLog())
-        num_vars, clauses = _php(9)  # unsolvable inside the budget
-        members = [
-            PortfolioMember("tight-1", SolverConfig(wall_deadline_s=0.2)),
-            PortfolioMember("tight-2", SolverConfig(wall_deadline_s=0.2,
-                                                    use_phase_saving=False)),
-        ]
-        result = solve_portfolio(
-            num_vars, clauses, members=members, processes=2, timeout_s=30
-        )
-        assert result.verdict is SolveResult.UNKNOWN
-        kinds = log.counts()
-        assert kinds.get("progress", 0) > 0
-        assert kinds.get("deadline.hit", 0) >= 1
-        hits = [r for r in log.export() if r["kind"] == "deadline.hit"]
-        assert {r["args"]["member"] for r in hits} <= {"tight-1", "tight-2"}
 
 
 @needs_fork

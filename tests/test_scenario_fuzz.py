@@ -1,7 +1,7 @@
 """The randomized differential fuzz harness (headline deliverable).
 
-25+ seeded scenarios each run through the four solver pipelines —
-eager-serial, lazy CEGAR, portfolio race, solver-service CEGAR — must
+25+ seeded scenarios each run through the three solver pipelines —
+eager-serial, lazy CEGAR, solver-service CEGAR — must
 agree on every verdict and on the generation optimum; the whole run is
 a pure function of the seed.  A deliberately lying path exercises the
 failure machinery: shrinking and reproducer emission.
