@@ -658,52 +658,34 @@ def _run_command(args) -> int:
         return 0
 
     if args.command == "table1":
+        from repro.tasks.batch import run_table1
+
         studies = all_case_studies()
         if args.skip_slow:
             studies = studies[:2]
-        batch_report = None
-        # The manifest and the per-job timeout live in the batch runner;
-        # route through it even serially when either was requested.
-        if args.jobs > 1 or args.manifest or args.job_timeout:
-            from repro.tasks.batch import run_table1
-
-            report = run_table1(skip_slow=args.skip_slow,
-                                processes=args.jobs,
-                                job_timeout_s=args.job_timeout,
-                                manifest_path=args.manifest)
-            batch_report = report
-            for names, label in (
-                (report.resumed_jobs, "restored from manifest"),
-                (report.retried_jobs, "retried after a worker death"),
-                (report.recovered_jobs, "recovered serially in the parent"),
-            ):
-                if names:
-                    print(f"{label}: {', '.join(names)}", file=sys.stderr)
-            if report.pool_error:
-                print(f"worker pool error: {report.pool_error}",
+        report = run_table1(skip_slow=args.skip_slow,
+                            processes=args.jobs,
+                            job_timeout_s=args.job_timeout,
+                            manifest_path=args.manifest,
+                            profile=args.profile)
+        for names, label in (
+            (report.resumed_jobs, "restored from manifest"),
+            (report.retried_jobs, "retried after a worker death"),
+            (report.recovered_jobs, "recovered serially in the parent"),
+        ):
+            if names:
+                print(f"{label}: {', '.join(names)}", file=sys.stderr)
+        if report.pool_error:
+            print(f"worker pool error: {report.pool_error}",
+                  file=sys.stderr)
+        failures = report.failures()
+        if failures:
+            for failure in failures:
+                print(f"FAILED {failure.name}: {failure.error}",
                       file=sys.stderr)
-            failures = report.failures()
-            if failures:
-                for failure in failures:
-                    print(f"FAILED {failure.name}: {failure.error}",
-                          file=sys.stderr)
-                raise SystemExit(1)
-            rows = report.values()
-            grouped = [rows[i:i + 3] for i in range(0, len(rows), 3)]
-        else:
-            grouped = []
-            profile = getattr(args, "profile", False)
-            for study in studies:
-                net = study.discretize()
-                grouped.append([
-                    verify_schedule(net, study.schedule, study.r_t_min,
-                                    profile=profile),
-                    generate_layout(net, study.schedule, study.r_t_min,
-                                    profile=profile),
-                    optimize_schedule(net, study.schedule, study.r_t_min,
-                                      minimize_borders_secondary=True,
-                                      profile=profile),
-                ])
+            raise SystemExit(1)
+        rows = report.values()
+        grouped = [rows[i:i + 3] for i in range(0, len(rows), 3)]
         groups = []
         for study, results in zip(studies, grouped):
             caption = (
@@ -717,8 +699,7 @@ def _run_command(args) -> int:
             for results in grouped:
                 for result in results:
                     reg.merge_dict(getattr(result, "metrics", {}) or {})
-            if batch_report is not None:
-                reg.merge_dict(batch_report.metrics)
+            reg.merge_dict(report.metrics)
             reg.set("batch.rows", sum(len(g) for g in grouped))
             reg.write_json(args.metrics)
             print(f"metrics -> {args.metrics}", file=sys.stderr)

@@ -43,6 +43,7 @@ from repro.gateway.pool import (
     DeadlineExceeded,
     TaskWorkerPool,
     WorkerCrashed,
+    serve_request,
 )
 from repro.gateway.requests import TASKS, RequestError, execute
 from repro.obs import events as obs_events
@@ -62,7 +63,6 @@ class GatewayConfig:
     max_inflight: int = 2
     max_queue: int = 8
     drain_s: float = 10.0
-    fallback: bool = True
 
 
 class Gateway:
@@ -93,7 +93,7 @@ class Gateway:
             thread_name_prefix="gateway",
         )
         self.pool = await loop.run_in_executor(
-            None, TaskWorkerPool, self.config.workers
+            None, TaskWorkerPool, self.config.workers, serve_request
         )
         path = self.config.socket_path
         with contextlib.suppress(FileNotFoundError):
@@ -315,10 +315,11 @@ class Gateway:
 
     async def _solve(self, payload, warm, budget) -> dict:
         loop = asyncio.get_running_loop()
+        budget_s = budget.remaining()
+        job = {"payload": payload, "warm": warm, "budget_s": budget_s}
         try:
             return await loop.run_in_executor(
-                self._executor, self.pool.run,
-                payload, warm, budget.remaining(),
+                self._executor, self.pool.run, job, budget_s
             )
         except DeadlineExceeded as exc:
             self.registry.inc("gateway.rejected.deadline")
@@ -327,8 +328,6 @@ class Gateway:
         except WorkerCrashed as exc:
             self.registry.inc("gateway.worker_crashes")
             obs_events.emit("gateway.worker_crash", error=str(exc))
-            if not self.config.fallback:
-                return {"ok": False, "error": str(exc), "kind": "crash"}
             self.registry.inc("gateway.fallbacks")
             obs_events.emit("gateway.fallback")
             fallback = dict(payload)

@@ -358,12 +358,16 @@ class Kernel:
 
         self._backtrack(0)
         self._n_assumptions = len(assumptions)
-        result = self._search(list(assumptions))
-        self._backtrack(0)
-        self.stats.solve_time += time.perf_counter() - start
-        if self._profiler is not None:
-            self.stats.profile = self._profiler.as_counters()
-        self.last_stats = self.stats.delta(before)
+        # A raising progress hook ends the search early; the solve's time,
+        # profile and counters are recorded all the same.
+        try:
+            result = self._search(list(assumptions))
+        finally:
+            self._backtrack(0)
+            self.stats.solve_time += time.perf_counter() - start
+            if self._profiler is not None:
+                self.stats.profile = self._profiler.as_counters()
+            self.last_stats = self.stats.delta(before)
         return result
 
     def model_value(self, lit: int) -> bool | None:

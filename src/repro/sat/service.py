@@ -4,9 +4,10 @@ The optimisation descents in :mod:`repro.opt` and the lazy verification
 loop in :mod:`repro.encoding.lazy` solve one growing clause set many
 times under changing assumptions; eager verification solves its formula
 once, as one probe on a fresh session (:func:`solve_portfolio`).  All
-of them run on a *probe session* with one contract: the clause list is held by reference, clauses appended
-since the last probe are loaded as the next probe's delta, and
-``probe(assumptions, timeout_s)`` answers with a :class:`ProbeOutcome`;
+of them run on a *probe session* with one contract: the clause list is
+held by reference, clauses appended since the last probe are loaded as
+the next probe's delta, and ``probe(assumptions, timeout_s)`` answers
+with a :class:`ProbeOutcome`;
 ``summary()``, ``solver_stats()`` and ``close()`` complete it.
 :func:`open_session` picks the session for a ``parallel`` setting:
 
@@ -51,12 +52,14 @@ clauses the primary learned (and, with several helpers, those a helper
 learned) are deduped by sorted-literal key and queued for the other
 helpers' next probes under a per-probe budget (``share.*`` counters).
 
-Helpers that crash, close their pipe, or still owe a reply
-``_CANCEL_GRACE_S`` after their probe ended are terminated and recorded
-(``service.worker_crashes``).  This module alone decides how the session
-degrades: when it cannot fork, or every helper has died, it retires the
-helpers and keeps probing on the primary — no solver is rebuilt and no
-clause reloaded — recorded as ``summary()["service"]["fallback"]``.
+Helpers are forked and reaped by :func:`repro.workers.spawn` and
+:func:`repro.workers.kill`.  Helpers that crash, close their pipe, or
+still owe a reply ``_CANCEL_GRACE_S`` after their probe ended are killed
+and recorded (``service.worker_crashes``).  This module alone decides
+how the session degrades: when it cannot fork, or every helper has died,
+it retires the helpers and keeps probing on the primary — no solver is
+rebuilt and no clause reloaded — recorded as
+``summary()["service"]["fallback"]``.
 Fault hooks (:mod:`repro.testing.faults`) fire only in helper workers.
 """
 
@@ -86,6 +89,7 @@ from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
 from repro.testing import faults
+from repro.workers import kill, spawn
 
 #: Conflicts between cancellation checks inside a helper's search, and
 #: between the primary's checks for helper replies.  Small enough that a
@@ -140,7 +144,7 @@ class _ProbeCancelled(Exception):
     """Raised inside a search to stop it cooperatively."""
 
 
-def _service_worker(index, member, num_vars, clauses, conn, cancelled,
+def _service_worker(conn, index, member, num_vars, clauses, cancelled,
                     child_trace, child_events=False):
     """Helper entry point: build one incremental solver, serve probes.
 
@@ -532,31 +536,18 @@ class SolverService:
         service must fall back, or ``""``."""
         if not fork_available():
             return "platform lacks the fork start method"
-        ctx = multiprocessing.get_context("fork")
-        self._cancelled = ctx.RawValue("q", 0)
+        self._cancelled = multiprocessing.get_context("fork").RawValue("q", 0)
         child_trace = trace.enabled()
         child_events = obs_events.enabled()
         shipped = len(self._clauses)
         try:
             for index in range(1, len(self._members)):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=_service_worker,
-                    args=(index, self._members[index], self._num_vars,
-                          self._clauses, child_conn, self._cancelled,
-                          child_trace, child_events),
-                    daemon=True,
+                proc, conn = spawn(
+                    _service_worker, index, self._members[index],
+                    self._num_vars, self._clauses, self._cancelled,
+                    child_trace, child_events,
                 )
-                try:
-                    proc.start()
-                except OSError:
-                    parent_conn.close()
-                    raise
-                finally:
-                    child_conn.close()
-                self._helpers.append(
-                    _Helper(index, proc, parent_conn, shipped)
-                )
+                self._helpers.append(_Helper(index, proc, conn, shipped))
         except OSError as exc:
             return f"could not fork a worker: {exc}"
         return ""
@@ -767,8 +758,8 @@ class SolverService:
         helper.ended_at = None
 
     def _poll(self) -> None:
-        """Read every helper reply that is ready; a helper freed while a
-        probe runs joins it."""
+        """Read every helper reply that is ready; a helper freed from an
+        earlier probe while a probe runs joins it."""
         for helper in self._helpers:
             if not helper.alive or not helper.conn.poll(0):
                 continue
@@ -778,7 +769,10 @@ class SolverService:
                 self._mark_dead(helper, "worker connection closed")
                 continue
             self._fold(helper, msg)
-            if self._probing and helper.alive and not helper.owed:
+            # A helper that just answered the probe in progress has
+            # nothing left to do for it.
+            if (self._probing and helper.alive
+                    and msg["probe"] < self._probe_id):
                 self._send(helper)
 
     def _fold(self, helper: _Helper, msg: dict) -> None:
@@ -908,8 +902,8 @@ class SolverService:
             self.metrics.inc(f"service.kernel.{kernel}")
 
     def _mark_dead(self, helper: _Helper, error: str, tb: str = "") -> None:
-        """Record a crashed helper and terminate it; losing the last one
-        is a fallback."""
+        """Record a crashed helper and kill it; losing the last one is a
+        fallback."""
         if not helper.alive:
             return
         helper.alive = False
@@ -921,13 +915,7 @@ class SolverService:
         self.metrics.inc("service.worker_crashes")
         trace.event("service.worker_crash", member=name, error=error)
         obs_events.emit("worker.crash", member=name, error=error)
-        if helper.proc.is_alive():
-            helper.proc.terminate()
-        helper.proc.join(timeout=_CLOSE_WAIT_S)
-        try:
-            helper.conn.close()
-        except OSError:
-            pass
+        kill(helper.proc, helper.conn)
         if all(self.reports[h.index].error for h in self._helpers):
             self._fall_back("all service helpers have died")
 
@@ -967,13 +955,7 @@ class SolverService:
         for helper in live:
             if helper.alive:
                 helper.alive = False
-                if helper.proc.is_alive():
-                    helper.proc.terminate()
-                helper.proc.join(timeout=_CLOSE_WAIT_S)
-                try:
-                    helper.conn.close()
-                except OSError:
-                    pass
+                kill(helper.proc, helper.conn)
 
 
 def open_session(

@@ -3,7 +3,8 @@
 Many workloads in this repository are *batches of independent task
 invocations*: the twelve Table I rows, a resolution-sensitivity sweep, a
 robustness screen over delay scenarios.  :func:`run_batch` runs such a batch
-over a process pool with
+over a pool of persistent fork workers (:class:`repro.workers.TaskWorkerPool`)
+with
 
 * **deterministic per-job seeds** — every job gets a seed that is a pure
   function of the batch seed, the job index, and the job name, so a batch
@@ -15,19 +16,17 @@ over a process pool with
   platform without ``fork`` runs the jobs serially in-process, with
   identical results.
 
-Worker death is survivable in three escalating steps: jobs lost to a broken
-pool are first **retried** in fresh single-worker pools (bounded attempts
-with exponential backoff), then **recovered** serially in the parent; a
-``manifest_path`` additionally persists every finished job to a JSONL
-manifest so a *killed batch* can be re-run and skip its completed jobs.
+A worker's death costs its one job, not the pool: the job is
+**retried** once on the respawned worker, then **recovered** serially in
+the parent (as is every job of a pool that cannot fork at all); a
+``manifest_path`` persists every finished job to a JSONL manifest so a
+*killed batch* can be re-run and skip its completed jobs, and
 ``job_timeout_s`` bounds each job with a SIGALRM-based wall clock.  All
 recovery activity is counted in ``BatchReport.metrics``
 (``batch.pool_broken``, ``retry.attempts``, ``batch.serial_recoveries``,
-``batch.job_timeouts``, …).
-
-Job functions must be importable (module-level) callables when running with
-processes — the pool ships them by pickling.  The serial path has no such
-restriction.
+``batch.job_timeouts``, …).  The jobs reach the workers through
+``fork``; only job indexes and results (values must pickle) cross the
+pipes.
 
 The module also packages the paper's Table I as a ready-made batch
 (:func:`table1_jobs` / :func:`run_table1`), which is what ``python -m repro
@@ -42,17 +41,22 @@ import signal
 import threading
 import time
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Any, Callable
 
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.sat.portfolio import default_processes, fork_available
 from repro.testing import faults
+from repro.workers import TaskWorkerPool, WorkerCrashed
+
+#: Retries of a job whose pool worker died, on the respawned worker,
+#: before the parent runs it serially ...
+MAX_RETRIES = 1
+#: ... each after this pause (seconds).
+RETRY_BACKOFF_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,10 @@ class BatchReport:
 
     ``serial`` records the *scheduling decision* (the batch ran serially
     in-process from the start); the recovery story after a worker death
-    is split out into ``retried_jobs`` (re-run in fresh single-worker
-    pools) and ``recovered_jobs`` (re-run serially in the parent after
-    retries were exhausted).  ``resumed_jobs`` were restored from the
-    manifest without running at all.
+    is split out into ``retried_jobs`` (re-run on a respawned pool
+    worker) and ``recovered_jobs`` (re-run serially in the parent after
+    the retry, or because the pool could not start).  ``resumed_jobs``
+    were restored from the manifest without running at all.
     """
 
     results: list[BatchJobResult]
@@ -109,12 +113,6 @@ class BatchReport:
     resumed_jobs: list[str] = field(default_factory=list)
     pool_error: str = ""
     metrics: dict = field(default_factory=dict)
-
-    @property
-    def serial_fallback(self) -> bool:
-        """Deprecated alias for ``serial`` (the initial scheduling
-        decision) — pre-dates the ``recovered_jobs`` split."""
-        return self.serial
 
     @property
     def ok(self) -> bool:
@@ -189,21 +187,20 @@ def _execute(
     job: BatchJob,
     index: int,
     seed: int,
-    child_trace: bool = False,
     timeout_s: float | None = None,
+    in_pool: bool = False,
     attempt: int = 0,
 ) -> BatchJobResult:
     """Run one job in the current process, capturing any exception.
 
-    With ``child_trace`` (the process-pool path) the job runs under a fresh
-    per-worker tracer whose spans are shipped back in the result; the
-    fork-inherited parent tracer tells the worker whether tracing is on.
-    Fault-injection hooks fire only on the pool path, so the parent's
-    serial recovery always survives an injected worker kill.
+    ``in_pool`` marks a pool worker: there the job runs under a fresh
+    per-job tracer whose spans are shipped back in the result (the
+    fork-inherited parent tracer tells the worker whether tracing is
+    on), and the fault-injection hook fires, so the parent's serial
+    recovery always survives an injected worker kill.
     """
     start = time.perf_counter()
-    in_pool = child_trace
-    child_trace = child_trace and trace.enabled()
+    child_trace = in_pool and trace.enabled()
     if child_trace:
         trace.install(trace.fork_child(tid=f"batch:{job.name}"))
     if in_pool:
@@ -227,6 +224,22 @@ def _execute(
         runtime_s=time.perf_counter() - start, seed=seed,
         spans=trace.export_spans() if child_trace else [],
     )
+
+
+def _attempts(pool: TaskWorkerPool, index: int) -> list:
+    """Run job ``index`` on ``pool``, retrying it on the respawned worker
+    after a worker death (up to :data:`MAX_RETRIES` times); returns each
+    attempt's outcome, a :class:`BatchJobResult` or the crash."""
+    outcomes: list = []
+    for attempt in range(MAX_RETRIES + 1):
+        if attempt:
+            time.sleep(RETRY_BACKOFF_S)
+        try:
+            outcomes.append(pool.run((index, attempt)))
+            break
+        except WorkerCrashed as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _restore_value(value_type: str, payload):
@@ -345,22 +358,18 @@ def run_batch(
     processes: int | None = None,
     seed: int = 0,
     job_timeout_s: float | None = None,
-    max_retries: int = 1,
-    retry_backoff_s: float = 0.05,
     manifest_path: str | None = None,
 ) -> BatchReport:
-    """Run ``jobs`` concurrently over a process pool.
+    """Run ``jobs`` concurrently over a pool of fork workers.
 
     ``processes`` defaults to :func:`repro.sat.portfolio.default_processes`.
     With ``processes <= 1``, a single job, or no ``fork`` support the batch
-    runs serially in-process (bit-identical results, no pickling
-    requirement on the job functions).
+    runs serially in-process (bit-identical results).
 
-    A worker process that dies abruptly (beyond a captured Python
-    exception) does not sink the batch: its jobs are retried up to
-    ``max_retries`` times in fresh single-worker pools (exponential
-    backoff starting at ``retry_backoff_s``), and whatever still has no
-    result is recovered serially in the parent.  ``job_timeout_s``
+    Otherwise ``min(processes, len(jobs))`` persistent workers run the
+    jobs.  A worker that dies abruptly (beyond a captured Python
+    exception) costs its one job: the job is retried on the respawned
+    worker, then recovered serially in the parent.  ``job_timeout_s``
     bounds each job's wall clock (the job fails with
     :class:`BatchJobTimeout` instead of hanging the batch).
     ``manifest_path`` appends every finished job to a JSONL manifest and
@@ -425,97 +434,55 @@ def run_batch(
         if manifest is not None:
             manifest.record(result)
 
+    def serve(msg: tuple[int, int]) -> BatchJobResult:
+        # Runs in a pool worker, which inherits ``jobs`` through fork.
+        index, attempt = msg
+        return _execute(jobs[index], index, seeds[index], job_timeout_s,
+                        in_pool=True, attempt=attempt)
+
     with trace.span(
         "batch", jobs=len(jobs), processes=processes, serial=serial
     ):
         if serial:
             for i in todo:
-                finish(_execute(jobs[i], i, seeds[i],
-                                timeout_s=job_timeout_s))
+                finish(_execute(jobs[i], i, seeds[i], job_timeout_s))
         elif todo:
             try:
-                with ProcessPoolExecutor(
-                    max_workers=processes, mp_context=get_context("fork")
-                ) as pool:
-                    pending = {
-                        pool.submit(
-                            _execute, jobs[i], i, seeds[i], True,
-                            job_timeout_s,
-                        ): i
-                        for i in todo
-                    }
-                    not_done = set(pending)
-                    while not_done:
-                        done, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED
-                        )
-                        for future in done:
-                            exc = future.exception()
-                            if exc is None:
-                                result = future.result()
-                                trace.merge(result.spans)
-                                finish(result)
-                            elif isinstance(exc, KeyboardInterrupt):
-                                raise exc
-                            elif isinstance(exc, (BrokenProcessPool,
-                                                  OSError)):
-                                # The worker died without reporting;
-                                # leave the slot for the retry phase.
-                                note_pool_error(exc)
-                            else:
-                                raise exc
-            except KeyboardInterrupt:
-                raise
-            except (BrokenProcessPool, OSError) as exc:
-                note_pool_error(exc)
-
-            # Retry phase: fresh single-worker pools, bounded attempts,
-            # exponential backoff — a crash loop cannot spin forever.
-            for attempt in range(1, max_retries + 1):
-                remaining = [i for i in todo if results[i] is None]
-                if not remaining:
-                    break
-                time.sleep(retry_backoff_s * (2 ** (attempt - 1)))
-                met.observe("retry.backoff_s",
-                            retry_backoff_s * (2 ** (attempt - 1)))
-                for i in remaining:
-                    met.inc("retry.attempts")
-                    if jobs[i].name not in retried:
-                        retried.append(jobs[i].name)
-                    try:
-                        with ProcessPoolExecutor(
-                            max_workers=1, mp_context=get_context("fork")
-                        ) as pool:
-                            future = pool.submit(
-                                _execute, jobs[i], i, seeds[i], True,
-                                job_timeout_s, attempt,
-                            )
-                            exc = future.exception()
-                            if exc is None:
-                                result = future.result()
-                                trace.merge(result.spans)
-                                finish(result)
-                            elif isinstance(exc, KeyboardInterrupt):
-                                raise exc
-                            elif isinstance(exc, (BrokenProcessPool,
-                                                  OSError)):
+                pool = TaskWorkerPool(min(processes, len(todo)), serve)
+            except OSError as exc:
+                note_pool_error(exc)  # every job recovers in the parent
+            else:
+                # One driver thread per worker; results, counters, span
+                # merges and manifest writes stay on this thread.
+                drivers = ThreadPoolExecutor(pool.processes)
+                try:
+                    futures = {drivers.submit(_attempts, pool, i): i
+                               for i in todo}
+                    for future in as_completed(futures):
+                        i = futures[future]
+                        for attempt, outcome in enumerate(future.result()):
+                            if isinstance(outcome, BatchJobResult):
+                                trace.merge(outcome.spans)
+                                finish(outcome)
+                                continue
+                            note_pool_error(outcome)
+                            if attempt:
                                 met.inc("retry.worker_deaths")
-                                note_pool_error(exc)
-                            else:
-                                raise exc
-                    except KeyboardInterrupt:
-                        raise
-                    except (BrokenProcessPool, OSError) as exc:
-                        met.inc("retry.worker_deaths")
-                        note_pool_error(exc)
+                            if attempt < MAX_RETRIES:
+                                met.inc("retry.attempts")
+                                met.observe("retry.backoff_s",
+                                            RETRY_BACKOFF_S)
+                                retried.append(jobs[i].name)
+                finally:
+                    pool.close()
+                    drivers.shutdown(cancel_futures=True)
 
             # Last resort: run what is still missing serially in the
             # parent (no fault hooks fire here, so injected kills
             # cannot reach this path).
             for i in todo:
                 if results[i] is None:
-                    finish(_execute(jobs[i], i, seeds[i],
-                                    timeout_s=job_timeout_s))
+                    finish(_execute(jobs[i], i, seeds[i], job_timeout_s))
                     recovered.append(jobs[i].name)
                     met.inc("batch.serial_recoveries")
                     trace.event("batch.serial_recovery", job=jobs[i].name)
@@ -579,9 +546,12 @@ def run_case_task(case: str, task: str, parallel: int = 1, **kwargs):
 
 
 def table1_jobs(
-    skip_slow: bool = False, parallel: int = 1
+    skip_slow: bool = False, parallel: int = 1, profile: bool = False
 ) -> list[BatchJob]:
-    """The paper's Table I (all case studies × all three tasks) as a batch."""
+    """The paper's Table I (all case studies × all three tasks) as a batch.
+
+    ``parallel`` and ``profile`` reach every row's task call.
+    """
     from repro.casestudies import all_case_studies
 
     studies = all_case_studies()
@@ -600,7 +570,8 @@ def table1_jobs(
                     name=f"{key}/{task}",
                     func=run_case_task,
                     args=(key, task),
-                    kwargs={"parallel": parallel, **kwargs},
+                    kwargs={"parallel": parallel, "profile": profile,
+                            **kwargs},
                 )
             )
     return jobs
@@ -612,10 +583,12 @@ def run_table1(
     parallel: int = 1,
     job_timeout_s: float | None = None,
     manifest_path: str | None = None,
+    profile: bool = False,
 ) -> BatchReport:
-    """Regenerate Table I as a batch: one job per row, ``processes`` wide."""
+    """Regenerate Table I as a batch: one job per row, ``processes`` wide
+    (serially in process at ``processes <= 1``)."""
     return run_batch(
-        table1_jobs(skip_slow, parallel),
+        table1_jobs(skip_slow, parallel, profile),
         processes=processes,
         job_timeout_s=job_timeout_s,
         manifest_path=manifest_path,

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.network.io import save_network
+from repro.sat.portfolio import fork_available
+from repro.tasks import batch
+from repro.tasks.result import TaskResult
 
 
 class TestList:
@@ -103,6 +108,37 @@ class TestTable1:
         assert "Simple Layout" in out
         assert "Complex Layout" not in out
         assert out.count("verification") == 2
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--job-timeout", "600"],
+        ["--manifest", "MANIFEST"],
+        pytest.param(["-j", "2"], marks=pytest.mark.skipif(
+            not fork_available(), reason="platform lacks fork")),
+    ])
+    def test_profile_reaches_every_row(self, flags, tmp_path, monkeypatch,
+                                       capsys):
+        # Every table1 run goes through the batch runner, which hands
+        # --profile to each row's task call; the rows record their
+        # keyword arguments in a file (pool workers are other processes).
+        calls = tmp_path / "calls.jsonl"
+
+        def fake_case_task(case, task, **kwargs):
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps([case, task, kwargs]) + "\n")
+            return TaskResult(
+                task=task, variables=1, satisfiable=True, num_sections=1,
+                time_steps=1, runtime_s=0.0,
+            )
+
+        monkeypatch.setattr(batch, "run_case_task", fake_case_task)
+        flags = [str(tmp_path / "m.jsonl") if flag == "MANIFEST" else flag
+                 for flag in flags]
+        assert main(["table1", "--skip-slow", "--profile", *flags]) == 0
+        assert "Simple Layout" in capsys.readouterr().out
+        rows = [json.loads(line) for line in calls.read_text().splitlines()]
+        assert len(rows) == 6
+        assert all(kwargs["profile"] is True for _, _, kwargs in rows)
 
 
 class TestParser:

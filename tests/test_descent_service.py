@@ -11,6 +11,7 @@ that probes ship O(delta) clauses instead of O(|CNF|).
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -31,7 +32,11 @@ from repro.network.sections import VSSLayout
 from repro.obs import trace
 from repro.opt import minimize_sum
 from repro.sat import PortfolioMember, SolverConfig
-from repro.sat.portfolio import PortfolioDisagreementError, fork_available
+from repro.sat.portfolio import (
+    PortfolioDisagreementError,
+    diversified_members,
+    fork_available,
+)
 from repro.sat.service import ServiceError, SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
@@ -76,6 +81,20 @@ class _LyingSolver(Solver):
 
 def lying_factory(config):
     return _LyingSolver(config)
+
+
+class _HeldPrimary(Solver):
+    """A primary that starts each search only once the service's helper
+    has a reply ready (or after a minute), so the helper's UNSAT wins
+    the probe."""
+
+    def __init__(self, config, service):
+        super().__init__(config)
+        self._service = service
+
+    def solve(self, assumptions=()):
+        self._service._helpers[0].conn.poll(60)
+        return super().solve(assumptions)
 
 
 def _kill(pid):
@@ -272,6 +291,32 @@ class TestSolverService:
                 # the same probe contradicts it.
                 service.probe()
         assert service.worker_pids() == [None]  # reaped all the same
+
+    def test_helper_is_not_resent_the_probe_it_answered(self, monkeypatch):
+        sent = []
+        send = SolverService._send
+
+        def recording_send(self, helper):
+            sent.append((helper.index, self._probe_args[0]))
+            send(self, helper)
+
+        monkeypatch.setattr(SolverService, "_send", recording_send)
+        num_vars, clauses = _pigeonhole(6)  # PHP(7, 6)
+        primary, helper = diversified_members(2)
+        service = SolverService(num_vars, clauses, members=[
+            dataclasses.replace(
+                primary,
+                solver_factory=lambda config: _HeldPrimary(config, service),
+            ),
+            helper,
+        ])
+        with service:
+            outcome = service.probe()
+        assert outcome.verdict is SolveResult.UNSAT
+        assert outcome.winner == 1
+        assert sent == [(1, 1)]
+        # The winning reply's counters are the helper's last word.
+        assert service.reports[1].stats["conflicts"] > 0
 
 
 # --- descent-level crash handling and fallback -----------------------------

@@ -28,6 +28,7 @@ from repro.gateway import (
     GatewayConfig,
     GatewayThread,
     ResultCache,
+    TaskWorkerPool,
     exact_key,
     family_key,
 )
@@ -290,6 +291,35 @@ class TestGatewayEndToEnd:
         assert status["workers"]["alive"] == 1  # respawned
         assert status["metrics"]["gateway.worker_crashes"] == 1
         assert status["metrics"]["gateway.fallbacks"] == 1
+
+    def test_stalled_worker_is_killed_at_the_deadline(self, gateway,
+                                                      monkeypatch):
+        # A solve cannot be interrupted from outside: a worker still
+        # silent deadline + grace after the send is killed and replaced.
+        monkeypatch.setattr(sys.modules[TaskWorkerPool.__module__],
+                            "KILL_GRACE_S", 0.5)
+        before = gateway.status()["workers"]["pids"]
+        stalled = _inline_payload(task="verify", no_cache=True,
+                                  deadline_s=0.5, inject={"sleep_s": 30})
+        start = time.monotonic()
+        response = gateway.request(stalled)
+        assert time.monotonic() - start < 15  # nowhere near the 30 s
+        assert not response["ok"] and response["kind"] == "deadline"
+        status = gateway.status()
+        assert status["workers"]["alive"] == 1
+        assert status["workers"]["pids"] != before
+        assert status["metrics"]["gateway.rejected.deadline"] == 1
+        answer = gateway.request(_inline_payload(task="verify",
+                                                 no_cache=True))
+        assert answer["ok"] and not answer["fallback"]
+
+    def test_parallel_request_forks_its_helpers(self, gateway):
+        # A pool worker may fork the helpers of a -j 2 session.
+        response = gateway.request(_inline_payload(
+            task="verify", no_cache=True, params={"parallel": 2},
+        ))
+        assert response["ok"] and not response["fallback"]
+        assert response["satisfiable"] is False
 
     def test_bad_requests_keep_the_connection_alive(self, gateway):
         bad_task = gateway.request({"task": "summon"})

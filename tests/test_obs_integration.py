@@ -146,7 +146,7 @@ class TestForkMerge:
         jobs = [BatchJob(f"j{i}", _traced_job, args=(i,)) for i in range(3)]
         report = run_batch(jobs, processes=2)
         assert report.ok
-        assert not report.serial_fallback
+        assert not report.serial
         tids = {span.tid for span in tracer.spans}
         assert {"batch:j0", "batch:j1", "batch:j2"} <= tids
         worker = [s for s in tracer.spans if s.name == "work"]

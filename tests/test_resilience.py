@@ -7,8 +7,9 @@ The acceptance properties of the resilience layer:
   hang;
 * a SIGKILLed descent resumes from its checkpoint and reaches the same
   optimum with strictly fewer probes;
-* a batch whose worker dies recovers the lost jobs (retry pools, then
-  serially in the parent) and says so in its report.
+* a batch whose worker dies recovers the lost job (one retry on the
+  respawned worker, then serially in the parent) and says so in its
+  report.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import multiprocessing
 import os
 import signal
+import sys
 import time
 
 import pytest
@@ -26,6 +28,7 @@ from repro.logic import CNF, VarPool
 from repro.opt import CheckpointError, minimize_sum
 from repro.opt.checkpoint import descent_fingerprint, load_checkpoint
 from repro.sat.portfolio import fork_available
+from repro.sat.service import SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 from repro.tasks.batch import BatchJob, run_batch
@@ -98,6 +101,17 @@ def _die_in_pool_worker(value):
     if multiprocessing.parent_process() is not None:
         os.kill(os.getpid(), signal.SIGKILL)
     return value + 1
+
+
+def _session_job(value, die=False):
+    """Probe a ``-j 2`` solver session; with ``die``, SIGKILL the pool
+    worker while the session's helper idles between probes."""
+    service = SolverService(3, [[1, 2], [-1, 3], [-2, -3]], processes=2)
+    with service:
+        verdict = service.probe().verdict.value
+        if die and multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return value, verdict, service.summary()["service"].get("fallback", "")
 
 
 def _sleep_job(seconds):
@@ -347,17 +361,79 @@ class TestBatchRecovery:
             BatchJob("kill-me", _die_in_pool_worker, args=(10,)),
             BatchJob("fine", _double, args=(21,)),
         ]
-        report = run_batch(jobs, processes=2, max_retries=1,
-                           retry_backoff_s=0.01)
+        report = run_batch(jobs, processes=2)
         assert report.ok
         assert report.value_of("kill-me") == 11  # parent ran it
         assert report.value_of("fine") == 42
         assert "kill-me" in report.recovered_jobs
         assert not report.serial
-        assert report.serial_fallback is report.serial  # legacy alias
         assert report.pool_error != ""
         assert report.metrics.get("batch.pool_broken", 0) >= 1
         assert report.metrics.get("batch.serial_recoveries", 0) >= 1
+
+    @needs_fork
+    @pytest.mark.parametrize("first", [_double, _die_in_pool_worker])
+    def test_no_worker_outlives_the_batch(self, first):
+        # A clean pooled run, and one whose worker is killed (twice:
+        # the job and its retry), both leave no process behind.
+        before = set(multiprocessing.active_children())
+        jobs = [BatchJob("first", first, args=(1,)),
+                BatchJob("second", _double, args=(2,))]
+        report = run_batch(jobs, processes=2)
+        assert report.ok
+        assert set(multiprocessing.active_children()) <= before
+
+    @needs_fork
+    def test_concurrent_worker_deaths_cost_one_job_each(self):
+        # Four workers die at once, on the job and on its retry, while
+        # the other jobs finish beside them; threads switch often.  Each
+        # job ends with one result and each death is counted once.
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = (
+                [BatchJob(f"kill-{i}", _die_in_pool_worker, args=(i,))
+                 for i in range(4)]
+                + [BatchJob(f"fine-{i}", _double, args=(i,))
+                   for i in range(4)]
+            )
+            start = time.perf_counter()
+            report = run_batch(jobs, processes=4)
+            assert time.perf_counter() - start < 60.0
+        finally:
+            sys.setswitchinterval(switch)
+        assert report.ok
+        assert [r.name for r in report.results] == [j.name for j in jobs]
+        assert report.values() == [1, 2, 3, 4, 0, 2, 4, 6]
+        assert sorted(report.recovered_jobs) == [f"kill-{i}"
+                                                 for i in range(4)]
+        assert sorted(report.retried_jobs) == sorted(report.recovered_jobs)
+        assert report.metrics["batch.pool_broken"] == 8
+        assert report.metrics["retry.attempts"] == 4
+        assert report.metrics["retry.worker_deaths"] == 4
+        assert report.metrics["batch.serial_recoveries"] == 4
+
+    @needs_fork
+    def test_pool_worker_opens_a_parallel_session(self):
+        # A job may fork the helpers of a -j 2 session in its worker.
+        jobs = [BatchJob(f"j{i}", _session_job, args=(i,)) for i in (0, 1)]
+        report = run_batch(jobs, processes=2)
+        assert report.ok and not report.recovered_jobs
+        assert report.values() == [(0, "sat", ""), (1, "sat", "")]
+
+    @needs_fork
+    def test_worker_killed_beside_an_idle_helper_is_seen(self):
+        # The helper inherited the worker's pipe end; it must notice its
+        # own pipe close and exit, or the worker's death goes unseen.
+        jobs = [BatchJob("dies", _session_job, args=(1,),
+                         kwargs={"die": True}),
+                BatchJob("fine", _double, args=(2,))]
+        start = time.perf_counter()
+        report = run_batch(jobs, processes=2)
+        assert time.perf_counter() - start < 60.0
+        assert report.ok
+        assert report.value_of("dies") == (1, "sat", "")
+        assert report.recovered_jobs == ["dies"]
 
     def test_job_timeout_serial(self):
         jobs = [

@@ -707,6 +707,33 @@ class TestLevelZeroConflict:
         self._assert_refuted(solver, logger, verdict)
 
 
+class _StopSearch(Exception):
+    pass
+
+
+class TestRaisingHookKeepsStats:
+    """A progress hook that raises ends the solve, not its bookkeeping:
+    the solve's counters, time and profile are recorded as for a solve
+    that returned (the solver service stops its primary this way)."""
+
+    def test_stats_survive_a_raising_hook(self):
+        solver = Solver(SolverConfig(profile=True))
+        solver.add_clauses(_pigeonhole(7))
+
+        def hook(snapshot) -> None:
+            raise _StopSearch
+
+        solver.on_progress(hook, 64)
+        with pytest.raises(_StopSearch):
+            solver.solve()
+        assert solver.last_stats.conflicts == 64
+        assert solver.stats.solve_time > 0
+        assert solver.stats.profile
+        assert solver.last_stats.profile
+        solver.on_progress(None)
+        assert solver.solve() is SolveResult.UNSAT
+
+
 class TestLockstepFuzzScenarios:
     """The eager encodings of 25 fuzz scenarios, certified."""
 

@@ -170,7 +170,7 @@ class TestRunBatch:
         pooled = run_batch(jobs, processes=3)
         assert pooled.values() == serial.values()
         assert pooled.processes == 3
-        assert not pooled.serial_fallback
+        assert not pooled.serial
 
     @needs_fork
     def test_pool_captures_worker_exceptions(self):
