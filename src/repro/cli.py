@@ -145,10 +145,18 @@ def _add_anytime_args(parser: argparse.ArgumentParser) -> None:
                              "(status: timeout)")
     parser.add_argument("--checkpoint", metavar="FILE", default=None,
                         help="append the descent's proven facts to a JSONL "
-                             "checkpoint as they are found")
+                             "checkpoint as they are found (not with "
+                             "--strategy core)")
     parser.add_argument("--resume", action="store_true",
                         help="resume a killed run from --checkpoint "
                              "instead of starting over")
+
+
+def _check_checkpoint_args(args: argparse.Namespace) -> None:
+    if args.resume and not args.checkpoint:
+        raise SystemExit("--resume requires --checkpoint")
+    if args.checkpoint and args.strategy == "core":
+        raise SystemExit("--checkpoint does not work with --strategy core")
 
 
 def _add_lazy_strategy_arg(parser: argparse.ArgumentParser,
@@ -235,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="generate a minimal VSS layout")
     _add_scenario_args(generate)
     _add_jobs_arg(generate, "race each descent solve over N portfolio "
-                            "processes (linear/binary strategies)")
+                            "processes")
     generate.add_argument("--strategy", default="linear",
                           choices=["linear", "binary", "core"])
     generate.add_argument("--lazy", action=argparse.BooleanOptionalAction,
                           default=False,
                           help="defer cross-train constraints to the CEGAR "
-                               "refinement loop (default off for descents; "
-                               "ignored by --strategy core)")
+                               "refinement loop (default off for descents)")
     from repro.encoding.lazy import DESCENT_LAZY_STRATEGY
     _add_lazy_strategy_arg(generate, default=DESCENT_LAZY_STRATEGY)
     _add_anytime_args(generate)
@@ -252,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="optimize the schedule makespan")
     _add_scenario_args(optimize)
     _add_jobs_arg(optimize, "race each descent solve over N portfolio "
-                            "processes (linear/binary strategies)")
+                            "processes")
     optimize.add_argument("--strategy", default="linear",
                           choices=["linear", "binary", "core"])
     optimize.add_argument("--min-borders", action="store_true",
@@ -263,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument("--lazy", action=argparse.BooleanOptionalAction,
                           default=False,
                           help="defer cross-train constraints to the CEGAR "
-                               "refinement loop (default off for descents; "
-                               "ignored by --strategy core)")
+                               "refinement loop (default off for descents)")
     _add_lazy_strategy_arg(optimize, default=DESCENT_LAZY_STRATEGY)
     _add_anytime_args(optimize)
     _add_obs_args(optimize)
@@ -754,8 +760,7 @@ def _run_command(args) -> int:
                 print("diagnosis: conflicting timetable commitments of "
                       f"train(s) {trains}")
     elif args.command == "generate":
-        if args.resume and not args.checkpoint:
-            raise SystemExit("--resume requires --checkpoint")
+        _check_checkpoint_args(args)
         result = generate_layout(net, schedule, r_t, strategy=args.strategy,
                                  parallel=args.jobs,
                                  timeout_s=args.timeout,
@@ -765,8 +770,7 @@ def _run_command(args) -> int:
                                  lazy_strategy=args.lazy_strategy,
                                  profile=args.profile)
     else:
-        if args.resume and not args.checkpoint:
-            raise SystemExit("--resume requires --checkpoint")
+        _check_checkpoint_args(args)
         result = optimize_schedule(
             net, schedule, r_t,
             strategy=args.strategy,

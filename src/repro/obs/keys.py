@@ -18,7 +18,7 @@ PREFIXES = frozenset({
     "bench",        # benchmarks/*.py — benchmark gauges
     "checkpoint",   # opt/checkpoint.py — descent checkpoint I/O
     "deadline",     # deadline governance (solver, descents, tasks)
-    "descent",      # opt/minimize.py — linear/binary descent counters
+    "descent",      # opt/minimize.py — descent counters, every strategy
     "diagnosis",    # tasks/verification.py — unsat-core diagnosis
     "encoder",      # encoding/encoder.py — encoding size counters
     "events",       # obs/events.py — event-stream bookkeeping

@@ -148,7 +148,8 @@ def profile_summary(counters: dict) -> dict:
     dominant = None
     for phase, row in phases.items():
         row["share"] = row["est_time_s"] / total_est if total_est else 0.0
-        if dominant is None or row["est_time_s"] > phases[dominant]["est_time_s"]:
+        if (dominant is None
+                or row["est_time_s"] > phases[dominant]["est_time_s"]):
             dominant = phase
     return {
         "phases": phases,

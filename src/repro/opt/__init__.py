@@ -1,20 +1,23 @@
-"""SAT-based minimisation engines.
+"""SAT-based minimisation engine.
 
 The paper's generation and optimization tasks add objective functions
 (``min Σ border_v`` and ``min Σ_t ¬done^t``) on top of the satisfiability
 formulation; Z3 handles these natively.  This package reimplements the
-capability on top of :mod:`repro.sat` with three interchangeable strategies
-(compared by ``benchmarks/bench_ablation_optimization.py``):
+capability on top of :mod:`repro.sat` as one descent,
+:func:`minimize_sum`, with three interchangeable strategies (compared by
+``benchmarks/bench_ablation_optimization.py``):
 
 * ``linear``  — SAT–UNSAT descent: repeatedly tighten a totalizer bound
   below the best model found so far until UNSAT proves optimality.
 * ``binary``  — binary search on the totalizer bound.
-* ``core``    — OLL-style core-guided search from below (UNSAT–SAT).
+* ``core``    — Fu–Malik core-guided search from below (UNSAT–SAT).
+
+Lexicographic objectives run as stages of the same descent
+(``minimize_sum(..., then=[...])``); :func:`minimize_weighted_sum`
+reduces weights to it.
 """
 
 from repro.opt.checkpoint import CheckpointError, load_checkpoint
-from repro.opt.lexicographic import minimize_lexicographic
-from repro.opt.maxsat import minimize_sum_core_guided
 from repro.opt.minimize import minimize_sum
 from repro.opt.weighted import minimize_weighted_sum
 from repro.opt.result import (
@@ -23,13 +26,11 @@ from repro.opt.result import (
     STATUS_RESUMED,
     STATUS_TIMEOUT,
     DescentResult,
-    MinimizeResult,
 )
 
 __all__ = [
     "CheckpointError",
     "DescentResult",
-    "MinimizeResult",
     "STATUS_FEASIBLE",
     "STATUS_OPTIMAL",
     "STATUS_RESUMED",
@@ -37,6 +38,4 @@ __all__ = [
     "load_checkpoint",
     "minimize_sum",
     "minimize_weighted_sum",
-    "minimize_sum_core_guided",
-    "minimize_lexicographic",
 ]

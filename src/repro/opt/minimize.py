@@ -1,8 +1,21 @@
-"""Model-improving minimisation: linear descent and binary search.
+"""Model-improving minimisation: linear descent, binary search and
+core-guided search, over one objective or several in priority order.
 
-Both strategies build one incremental totalizer over the objective literals
-and then tighten its bound with unit *assumptions* — the solver keeps all its
-learned clauses across iterations, which is what makes the loop cheap.
+Every strategy probes one incremental solver session with unit
+*assumptions* — the solver keeps all its learned clauses across
+probes, which is what makes the loop cheap.  ``linear`` and ``binary``
+build one totalizer over the objective literals and tighten its bound
+from above; ``core`` searches from below (Fu & Malik 2006): each
+objective literal ``l`` becomes a soft clause ``(¬l)`` guarded by a
+selector assumption, every UNSAT core relaxes its soft clauses with
+fresh blocking variables (at most one per core may fire) and raises
+the lower bound by one, and the first model under the selectors is
+optimal.
+
+A lexicographic problem (the paper's §III-C "efficiency" read as, say,
+makespan first and borders second) runs as *stages* on the same
+session: each stage's optimum is frozen with one unit clause and the
+next stage descends from the previous stage's best model.
 
 One descent loop serves every ``parallel`` setting, on the probe session
 that :func:`repro.sat.service.open_session` starts: one in-process
@@ -15,18 +28,20 @@ clause delta, and the primary's low-LBD learned clauses feed them.
 How the service degrades (the primary alone, when it cannot fork or
 loses every helper) is its decision alone; the descent never sees it.
 
-The descent is *anytime*: ``wall_deadline_s`` bounds the whole descent
-(each probe gets the remaining budget, shipped all the way into the
-solvers' cooperative wall-deadline checks) and an expired budget ends it
-at the best model and bounds proven so far (``status="timeout"``), never
-with an exception.  With ``checkpoint_path`` every proven fact is
-appended to a JSONL checkpoint (:mod:`repro.opt.checkpoint`), and
-``resume=True`` restarts a killed descent from its last proven bound.
+The descent is *anytime*: ``wall_deadline_s`` bounds the whole descent,
+every stage included (each probe gets the remaining budget, shipped
+all the way into the solvers' cooperative wall-deadline checks) and an
+expired budget ends it at the best model and bounds proven so far
+(``status="timeout"``), never with an exception.  With
+``checkpoint_path`` every proven fact of the first stage is appended to
+a JSONL checkpoint (:mod:`repro.opt.checkpoint`), and ``resume=True``
+restarts a killed descent from its last proven bound.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.logic.cnf import CNF, clauses_satisfied
@@ -55,6 +70,9 @@ from repro.sat.service import (
     open_session,
 )
 from repro.sat.types import SolveResult, SolverConfig
+
+#: A stage's model -> cost function (see :func:`_cost_counter`).
+_CostFn = Callable[[list[int]], int]
 
 
 class _DescentBudget:
@@ -144,6 +162,7 @@ def _replayed_result(
             "restored_cost": state.best_cost,
             "restored_lower": state.lower_bound,
         },
+        stages=[(state.best_cost, True)] if feasible else [],
     )
 
 
@@ -162,15 +181,27 @@ def minimize_sum(
     profile: bool = False,
     warm_model: list[int] | None = None,
     warm_fingerprint: dict | None = None,
+    then: list[list[int]] | None = None,
 ) -> DescentResult:
     """Minimise the number of true literals among ``objective_lits``.
 
     The hard constraints are the clauses of ``cnf``.  Returns a
     :class:`DescentResult`; when ``feasible`` and ``proven_optimal`` are both
-    True the reported cost is the exact minimum.
+    True the reported cost is the exact minimum.  ``strategy`` is
+    ``"linear"``, ``"binary"`` or ``"core"`` (see the module docstring).
 
-    ``on_improvement`` (if given) is called with each strictly better cost as
-    it is discovered — useful for logging long optimisations.
+    ``then`` lists the later objectives of a lexicographic problem:
+    after each stage its optimum is frozen with one unit clause, and the
+    next objective is minimised on the same session, from the previous
+    stage's best model.  The result carries the first stage's ``cost``
+    and bounds, the last stage's ``model``, every stage's cost and proof
+    flag (``stages``) and ``proven_optimal`` only when every stage ran
+    to a proof.  An expired budget skips the stages left
+    (``status="timeout"``).
+
+    ``on_improvement`` (if given) is called with each strictly better
+    first-stage cost as it is discovered — useful for logging long
+    optimisations.
 
     ``parallel > 1`` races every probe over that many diversified
     configurations (``portfolio_members`` overrides them) on a solver
@@ -184,13 +215,16 @@ def minimize_sum(
     descent — on expiry the result carries the best model and bounds
     found so far with ``status="timeout"``.
 
-    ``checkpoint_path`` appends every proven fact (improving models,
-    lower bounds, the in-process solver's learned unit facts, at any
-    ``parallel``) to a JSONL checkpoint;
+    ``checkpoint_path`` appends every proven first-stage fact (improving
+    models, lower bounds, the in-process solver's learned unit facts,
+    at any ``parallel``) to a JSONL checkpoint;
     ``resume=True`` restores the latest state from that file first —
     raising :class:`repro.opt.checkpoint.CheckpointError` when the file
     belongs to a different formula — and continues the descent from the
     restored bounds (``solve_calls`` counts only the new run's probes).
+    ``strategy="core"`` cannot checkpoint (``ValueError``): a resumed
+    run would number its relaxation variables by another core history,
+    and units harvested about them would be unsound.
 
     ``refine`` hooks a lazy-encoding check into every SAT answer
     (typically :meth:`repro.encoding.lazy.LazyRefiner.refine`): it
@@ -204,7 +238,7 @@ def minimize_sum(
     (:mod:`repro.obs.profile`) in every solver the descent creates —
     ignored when ``portfolio_members`` already fixes the configuration.
 
-    ``warm_model`` seeds the descent with a model cached from a
+    ``warm_model`` seeds the first stage with a model cached from a
     delta-close instance (the solve gateway's warm-start path,
     :mod:`repro.gateway`): when it still satisfies this formula —
     re-checked literally, clause by clause, plus one ``refine`` round
@@ -217,8 +251,10 @@ def minimize_sum(
     before the clause check (variables may have been renumbered).
     Ignored while resuming from a checkpoint.
     """
-    if strategy not in ("linear", "binary"):
+    if strategy not in ("linear", "binary", "core"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "core" and checkpoint_path:
+        raise ValueError("strategy 'core' cannot checkpoint its descent")
 
     fingerprint = descent_fingerprint(
         cnf.num_vars, cnf.num_clauses, objective_lits, strategy
@@ -233,7 +269,7 @@ def minimize_sum(
                 trace.event("checkpoint.resumed", cost=state.best_cost,
                             lower=state.lower_bound,
                             units=len(state.units))
-                if state.done_status == STATUS_OPTIMAL:
+                if state.done_status == STATUS_OPTIMAL and not then:
                     return _replayed_result(state, strategy,
                                             checkpoint_path)
         ckpt = DescentCheckpoint(checkpoint_path)
@@ -253,9 +289,12 @@ def minimize_sum(
             SolverConfig(profile=True) if profile else None,
         )
         try:
-            result = _descend(
-                session, cnf, objective_lits, strategy, on_improvement,
-                descent_timeout_s, budget, ckpt, state, refine, warm,
+            descent = _Descent(
+                session, cnf, strategy, descent_timeout_s, budget, refine,
+                ckpt, on_improvement,
+            )
+            result = descent.run(
+                [objective_lits, *(then or ())], state, warm
             )
         finally:
             session.close()
@@ -309,41 +348,328 @@ def _validated_warm_state(
     return CheckpointState.warm(cost, model, warm_fingerprint)
 
 
-def _descend(
-    session: SerialSession | SolverService,
-    cnf: CNF,
-    objective_lits: list[int],
-    strategy: str,
-    on_improvement: Callable[[int], None] | None,
-    descent_timeout_s: float | None,
-    budget: _DescentBudget,
-    ckpt: DescentCheckpoint | None,
-    state: CheckpointState | None,
-    refine: Callable[[list[int]], int] | None = None,
-    warm: CheckpointState | None = None,
-) -> DescentResult:
-    """The incremental descent over one probe session (bounds as
-    assumptions on a totalizer built into the same clause list)."""
-    model_cost = _cost_counter(objective_lits)
-    unit_keys: set[tuple[int, ...]] = set()
+@dataclass
+class _Stage:
+    """Where one stage of a descent stands: its best model and bounds."""
 
-    def harvest_units() -> None:
+    cost: int = 0
+    model: list[int] = field(default_factory=list)
+    lower: int = 0
+    feasible: bool = True
+    proven: bool = False
+    timed_out: bool = False
+    totalizer: Totalizer | None = None
+
+
+class _Descent:
+    """Every probe of one descent, on one probe session.
+
+    ``ckpt`` and ``on_improvement`` serve the first stage only:
+    :meth:`run` drops them before the later stages.
+    """
+
+    def __init__(
+        self,
+        session: SerialSession | SolverService,
+        cnf: CNF,
+        strategy: str,
+        descent_timeout_s: float | None,
+        budget: _DescentBudget,
+        refine: Callable[[list[int]], int] | None,
+        ckpt: DescentCheckpoint | None,
+        on_improvement: Callable[[int], None] | None,
+    ):
+        self.session = session
+        self.cnf = cnf
+        self.strategy = strategy
+        self.descent_timeout_s = descent_timeout_s
+        self.budget = budget
+        self.refine = refine
+        self.ckpt = ckpt
+        self.on_improvement = on_improvement
+        self.calls = 0
+        self.improved = False
+        self._unit_keys: set[tuple[int, ...]] = set()
+
+    def run(
+        self,
+        objectives: list[list[int]],
+        state: CheckpointState | None,
+        warm: CheckpointState | None,
+    ) -> DescentResult:
+        """Minimise ``objectives`` in order, freezing each optimum with
+        one unit clause before the next stage descends from its model."""
+        stage = self._first_stage(objectives[0], state, warm)
+        result = self._first_result(stage, state, warm)
+        self.ckpt = self.on_improvement = None
+        stages = [stage]
+        while stage.feasible and len(stages) < len(objectives):
+            if self.budget.exhausted():
+                trace.event("deadline.pass_skipped", stage=len(stages))
+                break
+            _freeze(self.cnf, objectives[len(stages) - 1], stage)
+            lits = objectives[len(stages)]
+            cost_of = _cost_counter(lits)
+            stage = _Stage(cost=cost_of(stage.model), model=stage.model)
+            with trace.span("descent.stage", stage=len(stages),
+                            cost=stage.cost):
+                self._minimize(stage, lits, cost_of)
+            stages.append(stage)
+        if len(objectives) > 1 and result.feasible:
+            timed_out = len(stages) < len(objectives) or any(
+                s.timed_out for s in stages
+            )
+            proven = not timed_out and all(s.proven for s in stages)
+            result.model = stage.model
+            result.proven_optimal = proven
+            result.solve_calls = self.calls
+            result.status = _descent_status(
+                proven, timed_out, result.status == STATUS_RESUMED, False
+            )
+        if result.feasible:
+            result.stages = [(s.cost, s.proven) for s in stages]
+        if result.status == STATUS_TIMEOUT:
+            _note_timeout()
+        return result
+
+    def _first_stage(
+        self,
+        lits: list[int],
+        state: CheckpointState | None,
+        warm: CheckpointState | None,
+    ) -> _Stage:
+        """The first stage: from a restored or warm incumbent, else from
+        one unconstrained probe; infeasible when that finds no model."""
+        stage = _Stage(lower=state.lower_bound if state else 0)
+        cost_of = _cost_counter(lits)
+        start = state if state is not None else warm
+        if start is not None and start.best_cost is not None:
+            stage.model = list(start.best_model)
+            stage.cost = start.best_cost
+            trace.event("descent.restored", cost=stage.cost,
+                        lower=stage.lower)
+            if self.on_improvement:
+                self.on_improvement(stage.cost)
+        else:
+            if self.budget.exhausted():
+                return _Stage(feasible=False, timed_out=True)
+            self.calls += 1
+            with trace.span("descent.probe", call=self.calls,
+                            strategy=self.strategy):
+                first = self._checked_probe()
+            if first.verdict is not SolveResult.SAT:
+                return _Stage(feasible=False,
+                              timed_out=self._timed_out_on(first))
+            stage.model = first.model or []
+            stage.cost = self._improve(cost_of, stage.model, harvest=False)
+        self._minimize(stage, lits, cost_of, state.units if state else None)
+        return stage
+
+    def _first_result(
+        self,
+        stage: _Stage,
+        state: CheckpointState | None,
+        warm: CheckpointState | None,
+    ) -> DescentResult:
+        """The first stage as a result; its status closes the
+        checkpoint."""
+        if stage.feasible:
+            status = _descent_status(stage.proven, stage.timed_out,
+                                     state is not None, self.improved)
+        else:
+            # An UNSAT first solve is a *proven* conclusion; only a
+            # timed-out one leaves feasibility genuinely open.
+            status = STATUS_TIMEOUT if stage.timed_out else STATUS_OPTIMAL
+        if self.ckpt is not None:
+            self.ckpt.done(status, stage.cost if stage.feasible else None)
+        return DescentResult(
+            feasible=stage.feasible,
+            cost=stage.cost,
+            model=stage.model,
+            proven_optimal=stage.proven,
+            solve_calls=self.calls,
+            strategy=self.strategy,
+            status=status,
+            lower_bound=stage.lower,
+            resumed=state is not None,
+            checkpoint=_checkpoint_summary(self.ckpt, state),
+            warm_started=warm is not None,
+        )
+
+    def _minimize(
+        self,
+        stage: _Stage,
+        lits: list[int],
+        cost_of: _CostFn,
+        units: list[int] | None = None,
+    ) -> None:
+        """Descend from the stage's incumbent to its proven optimum, or
+        as far as the budget reaches."""
+        if stage.cost == 0 or not lits:
+            stage.proven = True
+            return
+        if self.strategy == "core":
+            self._core(stage, lits, cost_of)
+            return
+        # Build the totalizer *into the session's clause list* so bounds
+        # are assumptions; the next probe loads its layers as the delta
+        # (the checkpoint fingerprint was taken before this, so resumed
+        # runs rebuild byte-identical totalizer literals).
+        stage.totalizer = Totalizer(self.cnf, lits)
+        if units:
+            # Assumption-free consequences from the killed run travel
+            # with the same delta and warm-start every solver of the
+            # session.
+            for lit in units:
+                self.cnf.add([lit])
+            trace.event("checkpoint.units_imported", count=len(units))
+        if self.strategy == "linear":
+            self._linear(stage, cost_of)
+        else:
+            self._binary(stage, cost_of)
+
+    def _linear(self, stage: _Stage, cost_of: _CostFn) -> None:
+        """SAT–UNSAT descent: probe one below the incumbent until UNSAT."""
+        while stage.cost > stage.lower:
+            if self.budget.exhausted():
+                stage.timed_out = True
+                break
+            bound = stage.cost - 1
+            probe = self._bound_probe(
+                [stage.totalizer.bound_literal(bound)], bound=bound
+            )
+            if probe.verdict is SolveResult.SAT:
+                stage.model = probe.model or []
+                stage.cost = self._improve(cost_of, stage.model)
+            elif probe.verdict is SolveResult.UNSAT:
+                stage.lower = stage.cost
+                if self.ckpt is not None:
+                    self.ckpt.lower(stage.lower, self.calls)
+                break
+            else:  # UNKNOWN under a conflict or wall budget
+                stage.timed_out = self._timed_out_on(probe)
+                break
+        if stage.cost <= stage.lower:
+            stage.proven = True
+            stage.lower = stage.cost
+
+    def _binary(self, stage: _Stage, cost_of: _CostFn) -> None:
+        """Binary search on the bound between the proven lower bound and
+        the incumbent."""
+        low = stage.lower
+        stage.proven = True
+        while low < stage.cost:
+            if self.budget.exhausted():
+                stage.timed_out = True
+                stage.proven = False
+                break
+            mid = (low + stage.cost) // 2
+            probe = self._bound_probe(
+                [stage.totalizer.bound_literal(mid)], bound=mid
+            )
+            if probe.verdict is SolveResult.SAT:
+                stage.model = probe.model or []
+                stage.cost = self._improve(cost_of, stage.model)
+            elif probe.verdict is SolveResult.UNSAT:
+                low = mid + 1
+                if self.ckpt is not None:
+                    self.ckpt.lower(low, self.calls)
+            else:
+                stage.timed_out = self._timed_out_on(probe)
+                stage.proven = False
+                break
+        stage.lower = max(stage.lower, low)
+        if stage.proven:
+            stage.lower = stage.cost
+
+    def _core(
+        self, stage: _Stage, lits: list[int], cost_of: _CostFn
+    ) -> None:
+        """Fu–Malik from below, under the incumbent: each UNSAT core
+        raises the lower bound by one (which cannot pass the incumbent's
+        cost), and the first model under the selectors is optimal."""
+        cnf = self.cnf
+        # selector -> (objective literal, its blocking variables so far)
+        softs: dict[int, tuple[int, list[int]]] = {}
+        for lit in lits:
+            selector = cnf.pool.new_aux()
+            cnf.add([-selector, -lit])
+            softs[selector] = (lit, [])
+        while stage.lower < stage.cost:
+            if self.budget.exhausted():
+                stage.timed_out = True
+                break
+            probe = self._bound_probe(sorted(softs), lower=stage.lower)
+            if probe.verdict is SolveResult.SAT:
+                stage.model = probe.model or []
+                stage.cost = self._improve(cost_of, stage.model)
+                break
+            if probe.verdict is not SolveResult.UNSAT:
+                stage.timed_out = self._timed_out_on(probe)
+                break
+            stage.lower += 1
+            blockers: list[int] = []
+            for selector in probe.unsat_core:
+                if selector not in softs:
+                    continue
+                lit, relaxed = softs.pop(selector)
+                cnf.add([-selector])  # retire the old soft clause
+                blocker = cnf.pool.new_aux()
+                blockers.append(blocker)
+                relaxed = [*relaxed, blocker]
+                fresh = cnf.pool.new_aux()
+                cnf.add([-fresh, -lit, *relaxed])
+                softs[fresh] = (lit, relaxed)
+            # At most one blocking variable per core may fire.
+            for i, blocker in enumerate(blockers):
+                for other in blockers[i + 1:]:
+                    cnf.add([-blocker, -other])
+        if stage.cost <= stage.lower:
+            stage.proven = True
+            stage.lower = stage.cost
+
+    def _improve(
+        self, cost_of: _CostFn, model: list[int], harvest: bool = True
+    ) -> int:
+        """Record an improving model; return its cost."""
+        cost = cost_of(model)
+        _note_improved(cost)
+        self.improved = True
+        # Checkpoint before notifying: a callback that dies (or kills
+        # the process) never loses the improvement it was told about.
+        if self.ckpt is not None:
+            self.ckpt.improved(cost, model, self.calls)
+            if harvest:
+                self._harvest_units()
+        if self.on_improvement:
+            self.on_improvement(cost)
+        return cost
+
+    def _harvest_units(self) -> None:
         """Persist newly proven level-0 facts (assumption-free units)
         of the session's in-process solver (a service's primary)."""
-        if ckpt is None:
-            return
-        units = session.solver.export_learned(
-            max_lbd=0, max_len=1, limit=256, skip_keys=unit_keys
+        units = self.session.solver.export_learned(
+            max_lbd=0, max_len=1, limit=256, skip_keys=self._unit_keys
         )
-        ckpt.units([u[0] for u in units if len(u) == 1])
+        self.ckpt.units([u[0] for u in units if len(u) == 1])
 
-    def timed_out_on(outcome: ProbeOutcome) -> bool:
+    def _timed_out_on(self, outcome: ProbeOutcome) -> bool:
         return (
             outcome.verdict is SolveResult.UNKNOWN
-            and (outcome.timed_out or budget.exhausted())
+            and (outcome.timed_out or self.budget.exhausted())
         )
 
-    def checked_probe(
+    def _bound_probe(self, assumptions: list[int], **span) -> ProbeOutcome:
+        """One counted probe of a descent loop under ``assumptions``."""
+        self.calls += 1
+        with trace.span("descent.probe", call=self.calls,
+                        **span) as probe_span:
+            probe = self._checked_probe(assumptions, self.descent_timeout_s)
+            probe_span.add(verdict=probe.verdict.name)
+        return probe
+
+    def _checked_probe(
+        self,
         assumptions: list[int] | tuple[int, ...] = (),
         per_probe_s: float | None = None,
     ) -> ProbeOutcome:
@@ -354,169 +680,40 @@ def _descend(
         timed-out UNKNOWN — a dirty model is never reported as the
         answer.
         """
-        nonlocal calls
-        outcome = session.probe(assumptions, budget.probe_budget(per_probe_s))
+        budget = self.budget
+        outcome = self.session.probe(
+            assumptions, budget.probe_budget(per_probe_s)
+        )
         while (
             outcome.verdict is SolveResult.SAT
-            and refine is not None
-            and refine(outcome.model or []) > 0
+            and self.refine is not None
+            and self.refine(outcome.model or []) > 0
         ):
             if budget.exhausted():
                 return ProbeOutcome(verdict=SolveResult.UNKNOWN,
                                     timed_out=True)
-            calls += 1
-            with trace.span("descent.probe", call=calls, refined=True):
-                outcome = session.probe(
+            self.calls += 1
+            with trace.span("descent.probe", call=self.calls, refined=True):
+                outcome = self.session.probe(
                     assumptions, budget.probe_budget(per_probe_s)
                 )
         return outcome
 
-    calls = 0
-    resumed = state is not None
-    start_state = state if state is not None else warm
-    improved = False
-    timed_out = False
-    lower = state.lower_bound if state else 0
 
-    def finish(feasible, cost, model, proven):
-        if feasible:
-            status = _descent_status(proven, timed_out, resumed, improved)
-        else:
-            # An UNSAT first solve is a *proven* conclusion; only a
-            # timed-out one leaves feasibility genuinely open.
-            status = STATUS_TIMEOUT if timed_out else STATUS_OPTIMAL
-        if status == STATUS_TIMEOUT:
-            _note_timeout()
-        if ckpt is not None:
-            ckpt.done(status, cost if feasible else None)
-        return DescentResult(
-            feasible=feasible,
-            cost=cost,
-            model=model or [],
-            proven_optimal=proven,
-            solve_calls=calls,
-            strategy=strategy,
-            status=status,
-            lower_bound=lower,
-            resumed=resumed,
-            checkpoint=_checkpoint_summary(ckpt, state),
-            warm_started=warm is not None,
-        )
-
-    def improve(model: list[int], harvest: bool = True) -> int:
-        """Record an improving model; return its cost."""
-        nonlocal improved
-        cost = model_cost(model)
-        _note_improved(cost)
-        improved = True
-        # Checkpoint before notifying: a callback that dies (or kills
-        # the process) never loses the improvement it was told about.
-        if ckpt is not None:
-            ckpt.improved(cost, model, calls)
-            if harvest:
-                harvest_units()
-        if on_improvement:
-            on_improvement(cost)
-        return cost
-
-    if start_state is not None and start_state.best_cost is not None:
-        best_model = list(start_state.best_model)
-        best_cost = start_state.best_cost
-        trace.event("descent.restored", cost=best_cost, lower=lower)
-        if on_improvement:
-            on_improvement(best_cost)
-    else:
-        calls += 1
-        if budget.exhausted():
-            timed_out = True
-            return finish(False, 0, [], False)
-        with trace.span("descent.probe", call=calls, strategy=strategy):
-            first = checked_probe()
-        if first.verdict is not SolveResult.SAT:
-            timed_out = timed_out_on(first)
-            return finish(False, 0, [], False)
-        best_model = first.model or []
-        best_cost = improve(best_model, harvest=False)
-    if best_cost == 0 or not objective_lits:
-        return finish(True, best_cost, best_model, True)
-
-    # Build the totalizer *into the session's clause list* so bounds are
-    # assumptions; the next probe loads its layers as the delta (the
-    # checkpoint fingerprint was taken before this, so resumed runs
-    # rebuild byte-identical totalizer literals).
-    totalizer = Totalizer(cnf, objective_lits)
-    if state is not None and state.units:
-        # Assumption-free consequences from the killed run travel with
-        # the same delta and warm-start every solver of the session.
-        for lit in state.units:
-            cnf.add([lit])
-        trace.event("checkpoint.units_imported", count=len(state.units))
-
-    if strategy == "linear":
-        proven = False
-        while best_cost > lower:
-            if budget.exhausted():
-                timed_out = True
-                break
-            calls += 1
-            with trace.span("descent.probe", call=calls,
-                            bound=best_cost - 1) as probe_span:
-                probe = checked_probe(
-                    [totalizer.bound_literal(best_cost - 1)],
-                    descent_timeout_s,
-                )
-                probe_span.add(verdict=probe.verdict.name)
-            if probe.verdict is SolveResult.SAT:
-                best_model = probe.model or []
-                best_cost = improve(best_model)
-            elif probe.verdict is SolveResult.UNSAT:
-                proven = True
-                lower = best_cost
-                if ckpt is not None:
-                    ckpt.lower(lower, calls)
-                break
-            else:  # UNKNOWN under a conflict or wall budget
-                timed_out = timed_out_on(probe)
-                break
-        if best_cost <= lower:
-            proven = True
-            lower = best_cost
-    else:  # binary search on the bound
-        low = lower
-        high = best_cost
-        proven = True
-        while low < high:
-            if budget.exhausted():
-                timed_out = True
-                proven = False
-                break
-            mid = (low + high) // 2
-            calls += 1
-            with trace.span("descent.probe", call=calls,
-                            bound=mid) as probe_span:
-                probe = checked_probe(
-                    [totalizer.bound_literal(mid)], descent_timeout_s
-                )
-                probe_span.add(verdict=probe.verdict.name)
-            if probe.verdict is SolveResult.SAT:
-                best_model = probe.model or []
-                high = best_cost = improve(best_model)
-            elif probe.verdict is SolveResult.UNSAT:
-                low = mid + 1
-                if ckpt is not None:
-                    ckpt.lower(low, calls)
-            else:
-                timed_out = timed_out_on(probe)
-                proven = False
-                break
-        lower = max(lower, low)
-        if proven:
-            lower = best_cost
-
-    return finish(True, best_cost, best_model, proven)
+def _freeze(cnf: CNF, lits: list[int], stage: _Stage) -> None:
+    """Hold the later stages to this stage's optimum: one unit clause
+    on the stage's totalizer (a core stage builds one for it: its last
+    selectors need not admit every optimal assignment), or one unit per
+    literal when the optimum is 0."""
+    if stage.cost == 0:
+        for lit in lits:
+            cnf.add([-lit])
+    elif stage.cost < len(lits):
+        totalizer = stage.totalizer or Totalizer(cnf, lits)
+        cnf.add([totalizer.bound_literal(stage.cost)])
 
 
-def _cost_counter(objective_lits: list[int]) -> Callable[[list[int]], int]:
+def _cost_counter(objective_lits: list[int]) -> _CostFn:
     """Build the model→cost function for one descent.
 
     Precomputes the objective-literal set once (plus per-literal

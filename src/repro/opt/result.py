@@ -1,4 +1,4 @@
-"""Result type shared by the minimisation engines."""
+"""Result type of the minimisation engine."""
 
 from __future__ import annotations
 
@@ -53,6 +53,10 @@ class DescentResult:
             whenever checkpointing or warm-starting computed it; the
             gateway stores it with cached results so a later warm-start
             can reject incompatible instances up front.
+        stages: ``(cost, proven_optimal)`` of every stage that ran, in
+            priority order (one entry unless ``then`` objectives were
+            given to :func:`repro.opt.minimize.minimize_sum`); empty when
+            not feasible.
     """
 
     feasible: bool
@@ -70,6 +74,7 @@ class DescentResult:
     checkpoint: dict | None = None
     warm_started: bool = False
     fingerprint: dict | None = None
+    stages: list[tuple[int, bool]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.status:
@@ -85,7 +90,3 @@ class DescentResult:
     def true_set(self) -> set[int]:
         """The model's true variables as a set (for decoding)."""
         return {lit for lit in self.model if lit > 0}
-
-
-#: Backwards-compatible alias: the pre-anytime name of the result type.
-MinimizeResult = DescentResult

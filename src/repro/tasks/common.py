@@ -101,7 +101,8 @@ def record_session(reg: MetricsRegistry, summary: dict | None) -> None:
 
 
 def record_descent(reg: MetricsRegistry, result) -> None:
-    """Absorb a :class:`MinimizeResult`'s counters and race summary."""
+    """Absorb a :class:`~repro.opt.DescentResult`'s counters and race
+    summary."""
     reg.absorb_solver_stats(result.solver_stats)
     reg.inc("descent.solve_calls", result.solve_calls)
     status = getattr(result, "status", "")

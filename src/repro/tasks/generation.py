@@ -15,7 +15,6 @@ from repro.encoding.lazy import DESCENT_LAZY_STRATEGY, LazyRefiner
 from repro.network.discretize import DiscreteNetwork
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
-from repro.opt.maxsat import minimize_sum_core_guided
 from repro.opt.minimize import minimize_sum
 from repro.opt.weighted import minimize_weighted_sum
 from repro.tasks.common import (
@@ -47,20 +46,19 @@ def generate_layout(
 ) -> TaskResult:
     """Generate a minimum-VSS layout realising ``schedule``.
 
-    ``strategy`` selects the optimisation engine: "linear", "binary", or
-    "core" (see :mod:`repro.opt`).
+    ``strategy`` selects the descent: "linear", "binary", or "core" (see
+    :mod:`repro.opt`).
 
     ``border_costs`` optionally maps free border vertices to positive
     integer installation costs; the objective then becomes the weighted sum
     (paper: unweighted ``min Σ border_v``).  Unlisted vertices cost 1.
 
-    ``parallel > 1`` runs the linear/binary descent on the incremental
-    solver service (:mod:`repro.sat.service`): member 0 walks the serial
-    search in process while resident helper workers, which keep learned
-    clauses across probes and receive only clause deltas, race it to
-    prove each probe UNSAT; the service keeps probing on member 0 alone
-    when it cannot fork or loses every helper.  The core-guided engine
-    is inherently incremental and stays serial.
+    ``parallel > 1`` runs the descent, of every strategy, on the
+    incremental solver service (:mod:`repro.sat.service`): member 0
+    walks the serial search in process while resident helper workers,
+    which keep learned clauses across probes and receive only clause
+    deltas, race it to prove each probe UNSAT; the service keeps probing
+    on member 0 alone when it cannot fork or loses every helper.
 
     ``timeout_s`` bounds the descent's wall clock: on expiry the task
     returns the best layout found so far (``status="timeout"`` with the
@@ -68,7 +66,8 @@ def generate_layout(
     ``checkpoint_path`` persists the descent's proven facts to a JSONL
     file as they are found, and ``resume=True`` continues a previously
     killed run from that file (linear/binary strategies without
-    ``border_costs``; see :mod:`repro.opt.checkpoint`).
+    ``border_costs``; ``strategy="core"`` raises ``ValueError``; see
+    :mod:`repro.opt.checkpoint`).
 
     ``lazy`` defers the cross-train constraint families and lets the
     descent instantiate only the violated instances via the CEGAR check
@@ -77,37 +76,32 @@ def generate_layout(
     the optimum is the same in every cell, but descents revisit many
     models, so coarse cells that need fewer refinement rounds win here;
     the default is :data:`~repro.encoding.lazy.DESCENT_LAZY_STRATEGY`
-    (measure with ``benchmarks/bench_lazy.py``).  The core-guided
-    engine drives its own assumption schedule and stays eager.
+    (measure with ``benchmarks/bench_lazy.py``).
 
     ``profile`` turns on the hot-path phase profiler in every solver the
     descent creates; attribution lands as ``profile.*`` metrics (see
     :mod:`repro.obs.profile`).
 
-    ``warm_model`` / ``warm_fingerprint`` seed the linear/binary descent
-    with a cached model from a delta-close instance (the solve
-    gateway's result cache): after re-certification against this
-    formula the descent starts from the cached layout's cost instead of
-    an unconstrained probe (see :func:`repro.opt.minimize.minimize_sum`).
-    The core-guided and weighted engines ignore the hint.
+    ``warm_model`` / ``warm_fingerprint`` seed the descent with a cached
+    model from a delta-close instance (the solve gateway's result
+    cache): after re-certification against this formula the descent
+    starts from the cached layout's cost instead of an unconstrained
+    probe (see :func:`repro.opt.minimize.minimize_sum`).  The weighted
+    objective ignores the hint.
     """
     start = time.perf_counter()
     reg = MetricsRegistry()
-    use_lazy = lazy and strategy != "core"
-    if lazy and not use_lazy:
-        trace.event("lazy.unsupported", strategy=strategy)
     with trace.span(
-        "generate", strategy=strategy, parallel=parallel, lazy=use_lazy
+        "generate", strategy=strategy, parallel=parallel, lazy=lazy
     ) as task_span:
-        with trace.span("encode", lazy=use_lazy):
+        with trace.span("encode", lazy=lazy):
             encoding = build_encoding(
-                net, schedule, r_t_min, options, lazy=use_lazy
+                net, schedule, r_t_min, options, lazy=lazy
             )
             objective = encoding.border_objective()
         record_encoding(reg, encoding)
         refiner = (
-            LazyRefiner(encoding, strategy=lazy_strategy)
-            if use_lazy else None
+            LazyRefiner(encoding, strategy=lazy_strategy) if lazy else None
         )
         refine = refiner.refine if refiner is not None else None
 
@@ -119,15 +113,9 @@ def generate_layout(
                     for var, vertex in zip(objective, free)
                 ]
                 result = minimize_weighted_sum(
-                    encoding.cnf, weighted,
-                    strategy=strategy if strategy != "core" else "linear",
+                    encoding.cnf, weighted, strategy=strategy,
                     parallel=parallel,
                     wall_deadline_s=timeout_s, refine=refine,
-                    profile=profile,
-                )
-            elif strategy == "core":
-                result = minimize_sum_core_guided(
-                    encoding.cnf, objective, wall_deadline_s=timeout_s,
                     profile=profile,
                 )
             else:

@@ -49,6 +49,14 @@ class TestCaseTasks:
         with pytest.raises(SystemExit, match="unknown case"):
             main(["verify", "--case", "atlantis"])
 
+    @pytest.mark.parametrize("command", ["generate", "optimize"])
+    def test_core_strategy_refuses_checkpoint(self, command, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        with pytest.raises(SystemExit, match="--strategy core"):
+            main([command, "--case", "running-example",
+                  "--strategy", "core", "--checkpoint", str(path)])
+        assert not path.exists()
+
 
 class TestCustomNetwork:
     def test_verify_custom_network(self, micro_line, tmp_path, capsys):

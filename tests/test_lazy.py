@@ -223,13 +223,18 @@ class TestTaskPlumbing:
         assert lazy.objective_value == eager.objective_value
         assert "lazy.rounds" in lazy.metrics
 
-    def test_core_strategy_stays_eager(self, micro_net,
-                                       crossing_schedule):
-        result = generate_layout(
+    def test_core_strategy_honours_lazy(self, micro_net,
+                                        crossing_schedule):
+        eager = generate_layout(
+            micro_net, crossing_schedule, 0.5, strategy="core"
+        )
+        lazy = generate_layout(
             micro_net, crossing_schedule, 0.5, strategy="core", lazy=True
         )
-        assert result.satisfiable
-        assert "lazy.rounds" not in result.metrics
+        assert lazy.satisfiable and lazy.proven_optimal
+        assert lazy.objective_value == eager.objective_value
+        assert "lazy.rounds" in lazy.metrics
+        assert "lazy.rounds" not in eager.metrics
 
 
 @needs_fork

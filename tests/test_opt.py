@@ -1,17 +1,19 @@
-"""Tests for the SAT-based minimisation engines."""
+"""Tests for the SAT-based minimisation engine and its strategies."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
 from repro.logic import CNF, VarPool
-from repro.opt import (
-    minimize_lexicographic,
-    minimize_sum,
-    minimize_sum_core_guided,
+from repro.opt import minimize_sum
+from repro.sat.portfolio import fork_available
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="platform lacks the fork start method"
 )
 
 
@@ -37,10 +39,11 @@ def build(num_vars, clauses):
     return cnf
 
 
+STRATEGIES = ["linear", "binary", "core"]
+
 ENGINES = [
-    ("linear", lambda cnf, obj: minimize_sum(cnf, obj, strategy="linear")),
-    ("binary", lambda cnf, obj: minimize_sum(cnf, obj, strategy="binary")),
-    ("core", minimize_sum_core_guided),
+    (name, lambda cnf, obj, name=name: minimize_sum(cnf, obj, strategy=name))
+    for name in STRATEGIES
 ]
 
 
@@ -118,33 +121,173 @@ class TestMinimizeSumDetails:
         result = minimize_sum(cnf, [1, 2, 3, 4])
         assert result.solve_calls >= 2
 
+    def test_spent_budget_counts_no_probe(self):
+        result = minimize_sum(build(2, [[1, 2]]), [1, 2],
+                              wall_deadline_s=0.0)
+        assert result.status == "timeout"
+        assert result.solve_calls == 0
+        assert result.solver_stats["solve_calls"] == 0
+
+
+def brute_force_lexicographic(num_vars, clauses, objectives):
+    """The lexicographically least cost vector, or None if infeasible."""
+    best = None
+    for bits in itertools.product([False, True], repeat=num_vars):
+        def value(lit):
+            phase = bits[abs(lit) - 1]
+            return phase if lit > 0 else not phase
+
+        if all(any(value(lit) for lit in c) for c in clauses):
+            costs = [sum(1 for lit in objective if value(lit))
+                     for objective in objectives]
+            best = costs if best is None else min(best, costs)
+    return best
+
+
+def lexicographic(cnf, objectives, strategy="linear", **kwargs):
+    return minimize_sum(cnf, objectives[0], strategy=strategy,
+                        then=objectives[1:], **kwargs)
+
 
 class TestLexicographic:
+    """Later objectives as stages of one descent (``then``)."""
+
     def test_two_objectives(self):
         cnf = build(4, [[1, 2], [3, 4]])
-        results = minimize_lexicographic(cnf, [[1, 2], [3, 4]])
-        assert [r.cost for r in results] == [1, 1]
+        result = lexicographic(cnf, [[1, 2], [3, 4]])
+        assert result.stages == [(1, True), (1, True)]
+        assert result.cost == 1 and result.proven_optimal
 
     def test_priority_order_matters(self):
         # x1 + x2 >= 1 hard; obj1 = x1, obj2 = x2.
         # Minimising x1 first forces x1 = 0, so x2 must be 1.
         cnf = build(2, [[1, 2]])
-        results = minimize_lexicographic(cnf, [[1], [2]])
-        assert results[0].cost == 0
-        assert results[1].cost == 1
+        result = lexicographic(cnf, [[1], [2]])
+        assert [cost for cost, _ in result.stages] == [0, 1]
+        assert result.cost == 0
+        assert {-1, 2} <= set(result.model)
 
     def test_infeasible_stops_early(self):
         cnf = build(1, [[1], [-1]])
-        results = minimize_lexicographic(cnf, [[1], [1]])
-        assert len(results) == 1
-        assert not results[0].feasible
-
-    def test_empty_objective_list_rejected(self):
-        with pytest.raises(ValueError):
-            minimize_lexicographic(build(1, [[1]]), [])
+        result = lexicographic(cnf, [[1], [1]])
+        assert not result.feasible
+        assert result.stages == []
 
     def test_binary_strategy(self):
         cnf = build(4, [[1, 2], [3, 4]])
-        results = minimize_lexicographic(cnf, [[1, 2], [3, 4]],
-                                         strategy="binary")
-        assert [r.cost for r in results] == [1, 1]
+        result = lexicographic(cnf, [[1, 2], [3, 4]], "binary")
+        assert result.stages == [(1, True), (1, True)]
+
+    def test_core_strategy(self):
+        cnf = build(4, [[1, 2], [3, 4]])
+        result = lexicographic(cnf, [[1, 2], [3, 4]], "core")
+        assert result.stages == [(1, True), (1, True)]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_random_against_brute_force(self, strategy):
+        """A freeze that over-constrains any stage shows up as a stage
+        cost above the lexicographic optimum."""
+        rng = random.Random(f"lex-{strategy}")
+        for __ in range(40):
+            num_vars = rng.randint(2, 7)
+            clauses = [
+                [rng.choice([1, -1]) * rng.randint(1, num_vars)
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 12))
+            ]
+            objectives = [
+                [rng.choice([1, -1]) * v
+                 for v in rng.sample(range(1, num_vars + 1),
+                                     rng.randint(1, num_vars))]
+                for _ in range(rng.randint(2, 3))
+            ]
+            expected = brute_force_lexicographic(
+                num_vars, clauses, objectives
+            )
+            result = lexicographic(
+                build(num_vars, clauses), objectives, strategy
+            )
+            if expected is None:
+                assert not result.feasible
+                continue
+            assert result.proven_optimal
+            assert [cost for cost, _ in result.stages] == expected
+            model = set(result.model)
+            assert [sum(1 for lit in objective if lit in model)
+                    for objective in objectives] == expected
+
+    def test_resumed_checkpoint_reruns_later_stages(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        clauses = [[1, 2, 3], [4, 5, 6], [-1, -4], [-2, -5]]
+        objectives = [[1, 2, 3], [4, 5, 6]]
+        first = lexicographic(build(6, clauses), objectives,
+                              checkpoint_path=path)
+        resumed = lexicographic(build(6, clauses), objectives,
+                                checkpoint_path=path, resume=True)
+        assert resumed.resumed
+        assert resumed.stages == first.stages == [(1, True), (1, True)]
+        # The first stage replays from its checkpoint without probing.
+        assert resumed.solve_calls < first.solve_calls
+
+    @needs_fork
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stages_share_one_session(self, strategy):
+        cnf = build(4, [[1, 2], [3, 4]])
+        result = lexicographic(cnf, [[1, 2], [3, 4]], strategy,
+                               parallel=2)
+        assert result.stages == [(1, True), (1, True)]
+        assert result.portfolio["service"]["counters"][
+            "service.sessions"] == 1
+
+    def test_spent_budget_skips_later_stages(self):
+        # The first stage is proven at its first probe; the callback
+        # then outlasts the budget, so the second stage never runs.
+        cnf = build(4, [[-1], [-2], [3, 4]])
+        result = lexicographic(
+            cnf, [[1, 2], [3, 4]], wall_deadline_s=0.5,
+            on_improvement=lambda cost: time.sleep(0.6),
+        )
+        assert result.stages == [(0, True)]
+        assert result.status == "timeout"
+        assert not result.proven_optimal
+
+
+class TestCoreStrategy:
+    def test_checkpoint_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            minimize_sum(build(2, [[1, 2]]), [1, 2], strategy="core",
+                         checkpoint_path=str(tmp_path / "ck.jsonl"))
+
+    @needs_fork
+    def test_parallel_matches_linear(self):
+        rng = random.Random(5)
+        for __ in range(10):
+            num_vars = rng.randint(3, 7)
+            clauses = [
+                [rng.choice([1, -1]) * rng.randint(1, num_vars)
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 12))
+            ]
+            objective = list(range(1, num_vars + 1))
+            linear = minimize_sum(build(num_vars, clauses), objective)
+            core = minimize_sum(build(num_vars, clauses), objective,
+                                strategy="core", parallel=2)
+            assert core.feasible == linear.feasible
+            assert core.cost == linear.cost
+            assert core.proven_optimal == linear.proven_optimal
+
+    def test_warm_incumbent_bounds_the_search(self):
+        # Every literal forced: the warm model is already optimal, so
+        # the cores lift the lower bound to it and no model is needed.
+        cnf = build(3, [[1], [2], [3]])
+        result = minimize_sum(cnf, [1, 2, 3], strategy="core",
+                              warm_model=[1, 2, 3])
+        assert result.warm_started
+        assert result.cost == 3 and result.proven_optimal
+        assert result.solve_calls == 3
+
+    def test_reports_solver_counters(self):
+        cnf = build(4, [[1, 2, 3, 4], [-1, -2], [-3, -4]])
+        result = minimize_sum(cnf, [1, 2, 3, 4], strategy="core")
+        assert result.cost == 1 and result.proven_optimal
+        assert result.solver_stats["solve_calls"] == result.solve_calls

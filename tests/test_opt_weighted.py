@@ -115,6 +115,33 @@ class TestStratifiedPath:
                 assert result.feasible
                 assert result.cost == expected
 
+    @pytest.mark.parametrize("strategy", ["binary", "core"])
+    def test_strategies_match_brute_force_when_bmo(self, strategy):
+        rng = random.Random(f"strata-{strategy}")
+        for _ in range(15):
+            num_vars = rng.randint(2, 5)
+            clauses = [
+                [rng.choice([1, -1]) * rng.randint(1, num_vars)
+                 for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(1, 10))
+            ]
+            variables = rng.sample(
+                range(1, num_vars + 1), rng.randint(1, num_vars)
+            )
+            weighted = [
+                (v, 1000 if i % 2 == 0 else 1)
+                for i, v in enumerate(variables)
+            ]
+            expected = brute_force_weighted(num_vars, clauses, weighted)
+            result = minimize_weighted_sum(
+                build(num_vars, clauses), weighted, strategy=strategy
+            )
+            if expected is None:
+                assert not result.feasible
+            else:
+                assert result.feasible and result.proven_optimal
+                assert result.cost == expected
+
     def test_non_bmo_is_upper_bound(self):
         # Weights 20/17/17: stratification is heuristic; flag must say so.
         cnf = build(3, [[1, 2, 3]])
