@@ -44,7 +44,7 @@ def test_makespan_strategy(benchmark, studies, strategy):
     assert result.time_steps == 7  # all strategies agree with Table I
 
 
-@pytest.mark.parametrize("strategy", ["linear", "binary"])
+@pytest.mark.parametrize("strategy", ["linear", "binary", "core"])
 def test_generation_strategy_simple_layout(benchmark, studies, strategy):
     """The larger instance separates the strategies more clearly."""
     study = studies["Simple Layout"]

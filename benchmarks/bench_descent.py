@@ -41,7 +41,10 @@ def _run_task(task: str, parallel: int):
     study = running_example()
     net = study.discretize()
     run = generate_layout if task == "generation" else optimize_schedule
-    return run(net, study.schedule, study.r_t_min, parallel=parallel)
+    # Pinned to linear: a core descent's probe count follows the cores,
+    # which a helper's UNSAT proof can change.
+    return run(net, study.schedule, study.r_t_min, strategy="linear",
+               parallel=parallel)
 
 
 def _best_of(fn, repeat: int = REPEAT):
@@ -64,7 +67,7 @@ def bench_task(reg: MetricsRegistry, task: str) -> None:
     assert service.satisfiable == serial.satisfiable
     assert service.objective_value == serial.objective_value
     assert service.proven_optimal == serial.proven_optimal
-    # Both tasks descend with the default linear strategy.
+    # Both tasks descend with the pinned linear strategy.
     assert service.solve_calls == serial.solve_calls
 
     prefix = f"bench.{task}."

@@ -8,8 +8,10 @@ records clause counts, refinement rounds, and wall time under stable
 ``bench.lazy.*`` keys.  The generation descent is benchmarked on the
 running example the same way, and every cell of the refiner's
 grouping/selection strategy matrix is timed on that descent under
-``bench.lazy.strategy.*`` — the data that picks
-:data:`~repro.encoding.lazy.DESCENT_LAZY_STRATEGY`.
+``bench.lazy.strategy.*`` — the data that picked
+:data:`~repro.encoding.lazy.DESCENT_LAZY_STRATEGY`.  Both descents are
+pinned to the linear strategy they were first measured on, so the
+``BENCH_lazy.json`` series stays one series.
 
 The verdict/objective agreement between the modes is asserted, so the
 benchmark doubles as an end-to-end differential check.
@@ -87,7 +89,8 @@ def bench_generation(reg: MetricsRegistry) -> None:
 
     def run(lazy: bool):
         return generate_layout(
-            net, study.schedule, study.r_t_min, lazy=lazy
+            net, study.schedule, study.r_t_min, strategy="linear",
+            lazy=lazy,
         )
 
     eager, eager_s = _best_of(lambda: run(False))
@@ -119,8 +122,8 @@ def bench_strategy_matrix(reg: MetricsRegistry, repeat: int = 3) -> None:
 
     def run(lazy: bool, strategy: str = DEFAULT_LAZY_STRATEGY):
         return generate_layout(
-            net, study.schedule, study.r_t_min, lazy=lazy,
-            lazy_strategy=strategy,
+            net, study.schedule, study.r_t_min, strategy="linear",
+            lazy=lazy, lazy_strategy=strategy,
         )
 
     cells = [

@@ -25,6 +25,7 @@ from repro.network.discretize import DiscreteNetwork
 from repro.network.io import load_network
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
+from repro.opt import CheckpointError
 from repro.tasks import generate_layout, optimize_schedule, verify_schedule
 from repro.trains.schedule import Schedule, ScheduleError, TrainRun
 from repro.trains.train import Train
@@ -145,18 +146,36 @@ def _add_anytime_args(parser: argparse.ArgumentParser) -> None:
                              "(status: timeout)")
     parser.add_argument("--checkpoint", metavar="FILE", default=None,
                         help="append the descent's proven facts to a JSONL "
-                             "checkpoint as they are found (not with "
-                             "--strategy core)")
+                             "checkpoint as they are found; --resume "
+                             "needs the same --strategy")
     parser.add_argument("--resume", action="store_true",
                         help="resume a killed run from --checkpoint "
                              "instead of starting over")
 
 
-def _check_checkpoint_args(args: argparse.Namespace) -> None:
+def _run_descent_task(args: argparse.Namespace, net, schedule, r_t):
+    """Run ``generate`` or ``optimize``; a checkpoint that belongs to
+    another descent ends the run with its mismatch, not a traceback."""
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
-    if args.checkpoint and args.strategy == "core":
-        raise SystemExit("--checkpoint does not work with --strategy core")
+    common = dict(
+        strategy=args.strategy, parallel=args.jobs, timeout_s=args.timeout,
+        checkpoint_path=args.checkpoint, resume=args.resume,
+        lazy=args.lazy, lazy_strategy=args.lazy_strategy,
+        profile=args.profile,
+    )
+    try:
+        if args.command == "generate":
+            return generate_layout(net, schedule, r_t, **common)
+        return optimize_schedule(
+            net, schedule, r_t,
+            minimize_borders_secondary=args.min_borders,
+            objective=args.objective, **common,
+        )
+    except CheckpointError as exc:
+        raise SystemExit(
+            f"cannot resume from {args.checkpoint}: {exc}"
+        ) from exc
 
 
 def _add_lazy_strategy_arg(parser: argparse.ArgumentParser,
@@ -244,8 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(generate)
     _add_jobs_arg(generate, "race each descent solve over N portfolio "
                             "processes")
-    generate.add_argument("--strategy", default="linear",
-                          choices=["linear", "binary", "core"])
+    generate.add_argument("--strategy", default="core",
+                          choices=["linear", "binary", "core"],
+                          help="descent: core-guided search from below "
+                               "(default), or a linear or binary "
+                               "descent on a totalizer bound from above")
     generate.add_argument("--lazy", action=argparse.BooleanOptionalAction,
                           default=False,
                           help="defer cross-train constraints to the CEGAR "
@@ -759,31 +781,8 @@ def _run_command(args) -> int:
                 trains = ", ".join(diagnosis.conflicting_trains)
                 print("diagnosis: conflicting timetable commitments of "
                       f"train(s) {trains}")
-    elif args.command == "generate":
-        _check_checkpoint_args(args)
-        result = generate_layout(net, schedule, r_t, strategy=args.strategy,
-                                 parallel=args.jobs,
-                                 timeout_s=args.timeout,
-                                 checkpoint_path=args.checkpoint,
-                                 resume=args.resume,
-                                 lazy=args.lazy,
-                                 lazy_strategy=args.lazy_strategy,
-                                 profile=args.profile)
     else:
-        _check_checkpoint_args(args)
-        result = optimize_schedule(
-            net, schedule, r_t,
-            strategy=args.strategy,
-            minimize_borders_secondary=args.min_borders,
-            objective=args.objective,
-            parallel=args.jobs,
-            timeout_s=args.timeout,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            lazy=args.lazy,
-            lazy_strategy=args.lazy_strategy,
-            profile=args.profile,
-        )
+        result = _run_descent_task(args, net, schedule, r_t)
     if getattr(args, "metrics", None):
         _write_metrics(result.metrics, args.metrics)
     if getattr(result, "resumed", False):

@@ -65,7 +65,9 @@ DEFAULT_LAZY_STRATEGY = "violation/all"
 #: revisits many candidate models, so refinement rounds dominate and
 #: instantiating the whole violated family up front converges fastest —
 #: this cell is what recovers the historical lazy-generation slowdown
-#: (``bench.lazy.generation.speedup`` < 1) in the strategy matrix.
+#: (``bench.lazy.generation.speedup`` < 1) in the strategy matrix.  The
+#: matrix times the linear descent, not the core-guided generation
+#: default.
 DESCENT_LAZY_STRATEGY = "family/all"
 
 _GROUPINGS = ("violation", "pair", "family")

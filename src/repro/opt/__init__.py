@@ -10,7 +10,8 @@ capability on top of :mod:`repro.sat` as one descent,
 * ``linear``  — SAT–UNSAT descent: repeatedly tighten a totalizer bound
   below the best model found so far until UNSAT proves optimality.
 * ``binary``  — binary search on the totalizer bound.
-* ``core``    — Fu–Malik core-guided search from below (UNSAT–SAT).
+* ``core``    — Fu–Malik core-guided search from below (UNSAT–SAT);
+  the generation task's default.
 
 Lexicographic objectives run as stages of the same descent
 (``minimize_sum(..., then=[...])``); :func:`minimize_weighted_sum`

@@ -12,11 +12,15 @@ proven bound instead of re-proving the whole staircase:
 ``improved``
     a better model: its cost and true-literal list.
 ``lower``
-    a proven lower bound (an UNSAT probe at ``bound - 1``).
+    a proven lower bound (an UNSAT probe at ``bound - 1``, or a
+    core-guided descent's core count).
 ``units``
     level-0 facts harvested from the solver — assumption-free
     consequences of the formula, safe to re-add on resume for a warm
-    start (serial descents only; see :meth:`Solver.export_learned`).
+    start (see :meth:`Solver.export_learned`).  A core-guided descent
+    keeps only the units over the formula's own variables (at most the
+    fingerprint's ``num_vars``): its selectors are numbered by a core
+    history that a resumed run does not repeat.
 ``done``
     the descent finished; resuming replays the result without probing.
 

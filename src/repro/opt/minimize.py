@@ -220,11 +220,11 @@ def minimize_sum(
     at any ``parallel``) to a JSONL checkpoint;
     ``resume=True`` restores the latest state from that file first —
     raising :class:`repro.opt.checkpoint.CheckpointError` when the file
-    belongs to a different formula — and continues the descent from the
-    restored bounds (``solve_calls`` counts only the new run's probes).
-    ``strategy="core"`` cannot checkpoint (``ValueError``): a resumed
-    run would number its relaxation variables by another core history,
-    and units harvested about them would be unsound.
+    belongs to a different formula or strategy — and continues the
+    descent from the restored bounds (``solve_calls`` counts only the
+    new run's probes).  A resumed ``core`` descent restarts Fu–Malik
+    under fresh selectors from the restored incumbent; its lower bound
+    is the larger of the restored bound and its own core count.
 
     ``refine`` hooks a lazy-encoding check into every SAT answer
     (typically :meth:`repro.encoding.lazy.LazyRefiner.refine`): it
@@ -253,8 +253,6 @@ def minimize_sum(
     """
     if strategy not in ("linear", "binary", "core"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "core" and checkpoint_path:
-        raise ValueError("strategy 'core' cannot checkpoint its descent")
 
     fingerprint = descent_fingerprint(
         cnf.num_vars, cnf.num_clauses, objective_lits, strategy
@@ -381,6 +379,8 @@ class _Descent:
     ):
         self.session = session
         self.cnf = cnf
+        # The formula's own variables: the fingerprint's ``num_vars``.
+        self.own_vars = cnf.num_vars
         self.strategy = strategy
         self.descent_timeout_s = descent_timeout_s
         self.budget = budget
@@ -508,22 +508,23 @@ class _Descent:
         if stage.cost == 0 or not lits:
             stage.proven = True
             return
-        if self.strategy == "core":
-            self._core(stage, lits, cost_of)
-            return
-        # Build the totalizer *into the session's clause list* so bounds
-        # are assumptions; the next probe loads its layers as the delta
-        # (the checkpoint fingerprint was taken before this, so resumed
-        # runs rebuild byte-identical totalizer literals).
-        stage.totalizer = Totalizer(self.cnf, lits)
+        if self.strategy != "core":
+            # Build the totalizer *into the session's clause list* so
+            # bounds are assumptions; the next probe loads its layers as
+            # the delta (the checkpoint fingerprint was taken before
+            # this, so resumed runs rebuild byte-identical totalizer
+            # literals).
+            stage.totalizer = Totalizer(self.cnf, lits)
         if units:
             # Assumption-free consequences from the killed run travel
-            # with the same delta and warm-start every solver of the
-            # session.
+            # with the first probe's delta and warm-start every solver
+            # of the session.
             for lit in units:
                 self.cnf.add([lit])
             trace.event("checkpoint.units_imported", count=len(units))
-        if self.strategy == "linear":
+        if self.strategy == "core":
+            self._core(stage, lits, cost_of)
+        elif self.strategy == "linear":
             self._linear(stage, cost_of)
         else:
             self._binary(stage, cost_of)
@@ -587,7 +588,11 @@ class _Descent:
     ) -> None:
         """Fu–Malik from below, under the incumbent: each UNSAT core
         raises the lower bound by one (which cannot pass the incumbent's
-        cost), and the first model under the selectors is optimal."""
+        cost), and the first model under the selectors is optimal.
+
+        A resumed stage keeps its restored lower bound but starts under
+        fresh selectors, so its cores count from 0 again: the bound is
+        the larger of the two, never their sum."""
         cnf = self.cnf
         # selector -> (objective literal, its blocking variables so far)
         softs: dict[int, tuple[int, list[int]]] = {}
@@ -595,6 +600,7 @@ class _Descent:
             selector = cnf.pool.new_aux()
             cnf.add([-selector, -lit])
             softs[selector] = (lit, [])
+        cores = 0
         while stage.lower < stage.cost:
             if self.budget.exhausted():
                 stage.timed_out = True
@@ -607,7 +613,12 @@ class _Descent:
             if probe.verdict is not SolveResult.UNSAT:
                 stage.timed_out = self._timed_out_on(probe)
                 break
-            stage.lower += 1
+            cores += 1
+            if cores > stage.lower:
+                stage.lower = cores
+                if self.ckpt is not None:
+                    self.ckpt.lower(stage.lower, self.calls)
+                    self._harvest_units()
             blockers: list[int] = []
             for selector in probe.unsat_core:
                 if selector not in softs:
@@ -647,11 +658,21 @@ class _Descent:
 
     def _harvest_units(self) -> None:
         """Persist newly proven level-0 facts (assumption-free units)
-        of the session's in-process solver (a service's primary)."""
+        of the session's in-process solver (a service's primary).
+
+        A core descent keeps the units over the formula's own variables
+        only: its selectors and blocking variables are numbered by its
+        core history, which a resumed run does not repeat.  Every
+        Fu–Malik clause holds with its fresh variables false, so a unit
+        over the formula's variables follows from the formula alone."""
         units = self.session.solver.export_learned(
             max_lbd=0, max_len=1, limit=256, skip_keys=self._unit_keys
         )
-        self.ckpt.units([u[0] for u in units if len(u) == 1])
+        own = self.own_vars if self.strategy == "core" else None
+        self.ckpt.units([
+            u[0] for u in units
+            if len(u) == 1 and (own is None or abs(u[0]) <= own)
+        ])
 
     def _timed_out_on(self, outcome: ProbeOutcome) -> bool:
         return (

@@ -31,7 +31,7 @@ def generate_layout(
     net: DiscreteNetwork,
     schedule: Schedule,
     r_t_min: float,
-    strategy: str = "linear",
+    strategy: str = "core",
     options: EncodingOptions | None = None,
     border_costs: dict[int, int] | None = None,
     parallel: int = 1,
@@ -46,8 +46,10 @@ def generate_layout(
 ) -> TaskResult:
     """Generate a minimum-VSS layout realising ``schedule``.
 
-    ``strategy`` selects the descent: "linear", "binary", or "core" (see
-    :mod:`repro.opt`).
+    ``strategy`` selects the descent: "core" (the default), "linear" or
+    "binary" (see :mod:`repro.opt`).  The optimum of Table I's rows is a
+    few borders, so the core-guided search from below needs fewer
+    probes than a descent from the first model's cost.
 
     ``border_costs`` optionally maps free border vertices to positive
     integer installation costs; the objective then becomes the weighted sum
@@ -65,9 +67,8 @@ def generate_layout(
     proven ``lower_bound``/``upper_bound``) instead of raising.
     ``checkpoint_path`` persists the descent's proven facts to a JSONL
     file as they are found, and ``resume=True`` continues a previously
-    killed run from that file (linear/binary strategies without
-    ``border_costs``; ``strategy="core"`` raises ``ValueError``; see
-    :mod:`repro.opt.checkpoint`).
+    killed run of the same strategy from that file (every strategy,
+    without ``border_costs``; see :mod:`repro.opt.checkpoint`).
 
     ``lazy`` defers the cross-train constraint families and lets the
     descent instantiate only the violated instances via the CEGAR check

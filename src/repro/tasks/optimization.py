@@ -67,7 +67,9 @@ def optimize_schedule(
     lexicographic descent (:func:`repro.opt.minimize.minimize_sum` with
     ``then``) on one probe session: each stage's optimum is frozen with
     one unit clause, and the next stage starts from that stage's best
-    model.  ``strategy`` ("linear", "binary" or "core") runs every stage.
+    model.  ``strategy`` ("linear", "binary" or "core") runs every stage;
+    it defaults to "linear", because the core-guided search from below
+    does not finish Nordlandsbanen's border stage in minutes.
 
     ``parallel > 1`` runs that session on the incremental solver service
     (:mod:`repro.sat.service`), whose in-process primary walks the
@@ -80,8 +82,7 @@ def optimize_schedule(
     (counted as ``deadline.pass_skipped``).  On expiry the task returns
     the best schedule found so far with ``status="timeout"``.
     ``checkpoint_path``/``resume`` checkpoint the *first* stage only (the
-    later stages optimise different objectives and always re-run);
-    ``strategy="core"`` cannot checkpoint and raises ``ValueError``.
+    later stages optimise different objectives and always re-run).
 
     ``lazy`` defers the cross-train constraint families to the CEGAR
     check (:mod:`repro.encoding.lazy`), shared by every stage; off by

@@ -74,6 +74,8 @@ class TestRunningExample:
         result = generate_layout(net, study.schedule, study.r_t_min)
         assert result.satisfiable and result.proven_optimal
         assert result.num_sections == 5  # the paper's Table I value
+        # Generation descends from below by default.
+        assert result.fingerprint["strategy"] == "core"
 
     def test_optimization_seven_steps(self):
         study = running_example()

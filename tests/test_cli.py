@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.network.io import save_network
+from repro.opt import load_checkpoint
 from repro.sat.portfolio import fork_available
 from repro.tasks import batch
 from repro.tasks.result import TaskResult
@@ -50,12 +51,44 @@ class TestCaseTasks:
             main(["verify", "--case", "atlantis"])
 
     @pytest.mark.parametrize("command", ["generate", "optimize"])
-    def test_core_strategy_refuses_checkpoint(self, command, tmp_path):
+    def test_core_strategy_checkpoint_resumes(self, command, tmp_path,
+                                              capsys):
         path = tmp_path / "ck.jsonl"
-        with pytest.raises(SystemExit, match="--strategy core"):
-            main([command, "--case", "running-example",
-                  "--strategy", "core", "--checkpoint", str(path)])
-        assert not path.exists()
+        args = [command, "--case", "running-example",
+                "--strategy", "core", "--checkpoint", str(path)]
+        assert main(args) == 0
+        finished = load_checkpoint(str(path))
+        assert finished.done_status == "optimal"
+        # Cut the file after its first improvement, as a kill would.
+        header, first = path.read_text().splitlines()[:2]
+        assert json.loads(first)["type"] == "improved"
+        path.write_text(f"{header}\n{first}\n")
+        capsys.readouterr()
+
+        assert main([*args, "--resume"]) == 0
+        assert "resumed from checkpoint" in capsys.readouterr().err
+        resumed = load_checkpoint(str(path))
+        assert resumed.done_status == "optimal"
+        assert resumed.best_cost == finished.best_cost
+
+    def test_generate_checkpoints_the_core_default(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        args = ["generate", "--case", "running-example",
+                "--checkpoint", str(path)]
+        assert main(args) == 0
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["fingerprint"]["strategy"] == "core"
+        cost = load_checkpoint(str(path)).best_cost
+        assert main([*args, "--resume"]) == 0
+        assert load_checkpoint(str(path)).best_cost == cost == 1
+
+    def test_resume_refuses_another_strategys_checkpoint(self, tmp_path):
+        path = tmp_path / "ck.jsonl"
+        args = ["generate", "--case", "running-example",
+                "--checkpoint", str(path)]
+        assert main([*args, "--strategy", "linear"]) == 0
+        with pytest.raises(SystemExit, match="mismatched: strategy"):
+            main([*args, "--resume"])
 
 
 class TestCustomNetwork:

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from repro.logic import CNF, VarPool
-from repro.opt import minimize_sum
+from repro.opt import load_checkpoint, minimize_sum
+from repro.opt.checkpoint import DescentCheckpoint, descent_fingerprint
 from repro.sat.portfolio import fork_available
 
 needs_fork = pytest.mark.skipif(
@@ -39,6 +40,21 @@ def build(num_vars, clauses):
     return cnf
 
 
+def random_instance(rng):
+    num_vars = rng.randint(2, 7)
+    clauses = [
+        [rng.choice([1, -1]) * rng.randint(1, num_vars)
+         for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 15))
+    ]
+    objective = [
+        rng.choice([1, -1]) * v
+        for v in rng.sample(range(1, num_vars + 1),
+                            rng.randint(1, num_vars))
+    ]
+    return num_vars, clauses, objective
+
+
 STRATEGIES = ["linear", "binary", "core"]
 
 ENGINES = [
@@ -52,17 +68,7 @@ class TestEnginesAgainstBruteForce:
     def test_random_instances(self, name, engine):
         rng = random.Random(hash(name) & 0xFFFF)
         for __ in range(40):
-            num_vars = rng.randint(2, 7)
-            clauses = [
-                [rng.choice([1, -1]) * rng.randint(1, num_vars)
-                 for _ in range(rng.randint(1, 3))]
-                for _ in range(rng.randint(1, 15))
-            ]
-            objective = [
-                rng.choice([1, -1]) * v
-                for v in rng.sample(range(1, num_vars + 1),
-                                    rng.randint(1, num_vars))
-            ]
+            num_vars, clauses, objective = random_instance(rng)
             expected = brute_force_min(num_vars, clauses, objective)
             result = engine(build(num_vars, clauses), list(objective))
             if expected is None:
@@ -252,12 +258,132 @@ class TestLexicographic:
         assert not result.proven_optimal
 
 
-class TestCoreStrategy:
-    def test_checkpoint_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            minimize_sum(build(2, [[1, 2]]), [1, 2], strategy="core",
-                         checkpoint_path=str(tmp_path / "ck.jsonl"))
+class _Interrupted(Exception):
+    pass
 
+
+def _interrupt(cost):
+    raise _Interrupted(cost)
+
+
+def model_of_cost(num_vars, clauses, objective, cost):
+    """A model of the hard clauses with exactly ``cost``, or None."""
+    for bits in itertools.product([False, True], repeat=num_vars):
+        model = [v if bit else -v for v, bit in enumerate(bits, start=1)]
+        true = set(model)
+        if (all(any(lit in true for lit in c) for c in clauses)
+                and sum(1 for lit in objective if lit in true) == cost):
+            return model
+    return None
+
+
+def write_checkpoint(path, cnf, objective, cost, model, lower):
+    """A checkpoint of a core descent with an incumbent and a bound."""
+    ckpt = DescentCheckpoint(path)
+    ckpt.open(descent_fingerprint(cnf.num_vars, cnf.num_clauses,
+                                  objective, "core"), resumed=False)
+    ckpt.improved(cost, model, 1)
+    ckpt.lower(lower, 2)
+    ckpt.close()
+
+
+class TestCoreCheckpoint:
+    """A core descent checkpoints soundly: resumed from wherever it was
+    cut, it reaches the brute-force optimum."""
+
+    def _resume(self, path, num_vars, clauses, objective):
+        result = minimize_sum(build(num_vars, clauses), objective,
+                              strategy="core", checkpoint_path=path,
+                              resume=True)
+        assert result.resumed
+        return result
+
+    def test_resume_after_first_improvement(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        rng = random.Random(7)
+        descending = 0
+        for __ in range(40):
+            num_vars, clauses, objective = random_instance(rng)
+            expected = brute_force_min(num_vars, clauses, objective)
+            if expected is None:
+                continue
+            try:
+                minimize_sum(build(num_vars, clauses), objective,
+                             strategy="core", checkpoint_path=path,
+                             on_improvement=_interrupt)
+            except _Interrupted as first:
+                descending += first.args[0] > expected
+            resumed = self._resume(path, num_vars, clauses, objective)
+            assert resumed.proven_optimal
+            assert resumed.cost == expected
+        assert descending >= 5
+
+    def test_resume_from_every_cut(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        rng = random.Random(8)
+        cuts = 0
+        for __ in range(30):
+            num_vars, clauses, objective = random_instance(rng)
+            expected = brute_force_min(num_vars, clauses, objective)
+            if not expected:
+                continue
+            minimize_sum(build(num_vars, clauses), objective,
+                         strategy="core", checkpoint_path=path)
+            with open(path, encoding="utf-8") as handle:
+                lines = handle.readlines()
+            # Every prefix without the "done" record is a kill point.
+            for end in range(2, len(lines)):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.writelines(lines[:end])
+                resumed = self._resume(path, num_vars, clauses, objective)
+                assert resumed.proven_optimal
+                assert resumed.cost == expected
+                cuts += 1
+        assert cuts >= 20
+
+    def test_restored_bound_is_not_added_to_the_cores(self, tmp_path):
+        # Incumbent opt+1 and restored bound opt-1: the cores must climb
+        # to opt on their own.  Adding the bound to the core count would
+        # "prove" the incumbent after two cores whenever opt >= 2.
+        path = str(tmp_path / "ck.jsonl")
+        rng = random.Random(9)
+        cases = [(6, [[1, 2], [3, 4], [5, 6]], [1, 2, 3, 4, 5, 6])]
+        cases += [random_instance(rng) for __ in range(60)]
+        teeth = 0
+        for num_vars, clauses, objective in cases:
+            opt = brute_force_min(num_vars, clauses, objective)
+            if not opt:
+                continue
+            model = model_of_cost(num_vars, clauses, objective, opt + 1)
+            if model is None:
+                continue
+            write_checkpoint(path, build(num_vars, clauses), objective,
+                             opt + 1, model, opt - 1)
+            resumed = self._resume(path, num_vars, clauses, objective)
+            assert resumed.proven_optimal
+            assert resumed.cost == opt
+            teeth += opt >= 2
+        assert teeth >= 3
+
+    def test_harvested_units_name_the_formulas_variables(self, tmp_path):
+        # Retired selectors are level-0 units above num_vars; they must
+        # not reach the checkpoint.
+        path = str(tmp_path / "ck.jsonl")
+        cases = [(6, [[1, 2], [3, 4], [5, 6]], [1, 2, 3, 4, 5, 6])]
+        rng = random.Random(10)
+        cases += [random_instance(rng) for __ in range(30)]
+        harvested = 0
+        for num_vars, clauses, objective in cases:
+            minimize_sum(build(num_vars, clauses), objective,
+                         strategy="core", checkpoint_path=path)
+            state = load_checkpoint(path)
+            own = state.fingerprint["num_vars"]
+            assert all(abs(lit) <= own for lit in state.units)
+            harvested += len(state.units)
+        assert harvested > 0
+
+
+class TestCoreStrategy:
     @needs_fork
     def test_parallel_matches_linear(self):
         rng = random.Random(5)

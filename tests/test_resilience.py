@@ -32,6 +32,7 @@ from repro.sat.service import SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 from repro.tasks.batch import BatchJob, run_batch
+from repro.tasks.generation import generate_layout
 from repro.tasks.optimization import optimize_schedule
 from repro.tasks.result import TaskResult
 
@@ -210,14 +211,18 @@ class TestDescentDeadline:
 
 class TestTaskDeadlineAcceptance:
     BUDGET_S = 2.0
+    # The core-guided generation default proves the running example's
+    # optimum in three slow solves; one second stops it after the first.
+    GENERATE_BUDGET_S = 1.0
 
-    def _run(self, parallel: int):
+    def _run(self, parallel: int, task=optimize_schedule,
+             budget_s: float = BUDGET_S):
         study = running_example()
         net = study.discretize()
         start = time.perf_counter()
-        result = optimize_schedule(
+        result = task(
             net, study.schedule, study.r_t_min,
-            parallel=parallel, timeout_s=self.BUDGET_S,
+            parallel=parallel, timeout_s=budget_s,
         )
         elapsed = time.perf_counter() - start
         assert result.satisfiable
@@ -226,8 +231,9 @@ class TestTaskDeadlineAcceptance:
         assert result.objective_value is not None
         assert result.lower_bound <= result.upper_bound
         # Within the budget ±25%, plus fixed encode/fork overhead.
-        assert elapsed < self.BUDGET_S * 1.25 + 1.0
+        assert elapsed < budget_s * 1.25 + 1.0
         assert result.metrics.get("deadline.descent_timeouts", 0) >= 1
+        return result
 
     def test_serial(self, slow_solves):
         self._run(parallel=1)
@@ -235,6 +241,19 @@ class TestTaskDeadlineAcceptance:
     @needs_fork
     def test_persistent_service(self, slow_solves):
         self._run(parallel=2)
+
+    @pytest.mark.parametrize("parallel", [
+        1, pytest.param(2, marks=needs_fork),
+    ])
+    def test_generation_default(self, slow_solves, parallel):
+        result = self._run(parallel, generate_layout,
+                           self.GENERATE_BUDGET_S)
+        assert result.fingerprint["strategy"] == "core"
+        # The layout was decoded and passed the validator.
+        assert result.solution is not None
+        assert (result.num_sections
+                == result.solution.num_sections
+                == 4 + result.objective_value)
 
 
 # --- checkpoint / resume ---------------------------------------------------
