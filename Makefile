@@ -17,10 +17,13 @@ test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q -m faults
 
 # Solve-gateway suite incl. chaos drills (cache hit, warm-start, deadline
-# expiry, worker kill); REPRO_GATEWAY_FAULTS arms the inject hooks.
+# expiry, worker kill); REPRO_GATEWAY_FAULTS arms the inject hooks.  Dev
+# mode plus the two warning filters fail the run on a socket nobody
+# closed or a handler task still pending at shutdown.
 test-gateway:
-	PYTHONPATH=src REPRO_GATEWAY_FAULTS=1 $(PYTHON) -m pytest -x -q \
-		-m gateway
+	PYTHONPATH=src REPRO_GATEWAY_FAULTS=1 $(PYTHON) -X dev -m pytest -x -q \
+		-m gateway -W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning
 
 # The running-example verification is UNSAT by design, so exit 1 is the
 # expected outcome; any other code (0 = unexpectedly SAT, >=2 = crash) is

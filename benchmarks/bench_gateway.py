@@ -84,9 +84,8 @@ def bench_gateway(reg: MetricsRegistry, socket_path: str) -> bool:
     )
     base = _base_payload()
     relaxed = _relaxed(base)
-    with GatewayThread(config):
-        client = GatewayClient(socket_path=socket_path)
-
+    with GatewayThread(config), \
+            GatewayClient(socket_path=socket_path) as client:
         cold, cold_s = _timed(client, base)
         assert not cold.get("cached") and not cold["warm_started"]
 

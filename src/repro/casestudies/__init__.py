@@ -15,8 +15,11 @@ The networks are reconstructions from the paper's textual description (see
 DESIGN.md §2); schedules for the latter three are synthesised to exercise the
 same phenomenon the paper reports: the pure TTD layout deadlocks, a few VSS
 borders repair it, and more VSS buys a shorter makespan.
+
+:func:`case_study` builds one study from its command-line key (such as
+``"running-example"``); :func:`all_case_studies` builds all four.
 """
 
-from repro.casestudies.base import CaseStudy, all_case_studies
+from repro.casestudies.base import CaseStudy, all_case_studies, case_study
 
-__all__ = ["CaseStudy", "all_case_studies"]
+__all__ = ["CaseStudy", "all_case_studies", "case_study"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.casestudies import CaseStudy, all_case_studies
+from repro.casestudies import all_case_studies, case_study
 from repro.network.discretize import DiscreteNetwork
 from repro.network.io import load_network
 from repro.obs import trace
@@ -35,18 +35,6 @@ from repro.viz import (
     render_layout,
     render_spacetime,
 )
-
-
-def _case_key(study: CaseStudy) -> str:
-    return study.name.lower().replace(" ", "-")
-
-
-def _find_case(key: str) -> CaseStudy:
-    for study in all_case_studies():
-        if _case_key(study) == key:
-            return study
-    known = ", ".join(_case_key(s) for s in all_case_studies())
-    raise SystemExit(f"unknown case study {key!r}; known: {known}")
 
 
 def _parse_train(spec: str) -> TrainRun:
@@ -73,7 +61,10 @@ def _parse_train(spec: str) -> TrainRun:
 def _scenario(args) -> tuple[DiscreteNetwork, Schedule, float]:
     """Resolve (discrete network, schedule, r_t) from CLI arguments."""
     if args.case:
-        study = _find_case(args.case)
+        try:
+            study = case_study(args.case)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         return study.discretize(), study.schedule, study.r_t_min
     if not args.network:
         raise SystemExit("either --case or --network is required")
@@ -554,7 +545,8 @@ def _cmd_client(args) -> int:
         payload["no_cache"] = True
 
     try:
-        response = client.request(payload)
+        with client:
+            response = client.request(payload)
     except GatewayError as exc:
         raise SystemExit(str(exc))
     print(json.dumps(response, indent=2, sort_keys=True))
@@ -679,7 +671,7 @@ def _run_command(args) -> int:
         for study in all_case_studies():
             net = study.discretize()
             print(
-                f"{_case_key(study):<18} {len(study.schedule)} trains, "
+                f"{study.key:<18} {len(study.schedule)} trains, "
                 f"{net.num_segments} segments, {net.num_ttds} TTDs, "
                 f"r_s={study.r_s_km} km, r_t={study.r_t_min} min"
             )

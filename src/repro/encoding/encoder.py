@@ -102,7 +102,6 @@ class EtcsEncoding:
         # Families skipped by build(lazy=True), in eager emission order;
         # () after an eager build.
         self.deferred_families: tuple[str, ...] = ()
-        self._deferred_count: dict[str, int] | None = None
         # Per-constraint-family encoding sizes (vars/clauses/literals added
         # by each family of build()) — the paper's §III families, measured.
         self.family_stats: dict[str, dict[str, int]] = {}
@@ -632,20 +631,19 @@ class EtcsEncoding:
         """Clauses each *deferred* family would have emitted eagerly.
 
         Counted from the cone by set arithmetic, without building or
-        walking a clause; the lazy loop reports ``lazy.clauses_saved``
-        against these totals.  Cached.
+        walking a clause; against the lazy loop's
+        :attr:`~repro.encoding.lazy.LazyRefiner.clauses_added` this
+        prices the clauses it avoided.  Collision pricing walks the path
+        interiors of every move, so the lazy tasks never call it.
         """
-        if self._deferred_count is None:
-            counters = {
-                "separation": self._count_separation,
-                "collision": self._count_collision,
-                "swap": self._count_swap,
-            }
-            self._deferred_count = {
-                family: counters[family]()
-                for family in self.deferred_families
-            }
-        return dict(self._deferred_count)
+        counters = {
+            "separation": self._count_separation,
+            "collision": self._count_collision,
+            "swap": self._count_swap,
+        }
+        return {
+            family: counters[family]() for family in self.deferred_families
+        }
 
     def _count_separation(self) -> int:
         """One clause per pair of same-TTD positions of two trains: the

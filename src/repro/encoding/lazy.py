@@ -261,9 +261,11 @@ class LazyRefiner:
     def stats(self) -> dict:
         """``lazy.*`` metric payload (see doc/architecture.md §7).
 
-        The avoided clauses are priced by
-        :meth:`EtcsEncoding.deferred_eager_count`, which counts them from
-        the cone without emitting any.
+        It does not price the avoided clauses: that walks every move's
+        path interiors, the work the lazy loop exists to skip.  Callers
+        that want the price compare
+        :meth:`EtcsEncoding.deferred_eager_count` with
+        :attr:`clauses_added`.
         """
         out = {
             "lazy.rounds": self.rounds,
@@ -272,10 +274,6 @@ class LazyRefiner:
         }
         for family, count in sorted(self.violations.items()):
             out[f"lazy.violations.{family}"] = count
-        eager = self.encoding.deferred_eager_count()
-        total = sum(eager.values())
-        out["lazy.eager_clauses"] = total
-        out["lazy.clauses_saved"] = total - self.clauses_added
         return out
 
 

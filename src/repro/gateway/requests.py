@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.casestudies import CaseStudy, all_case_studies
+from repro.casestudies import case_study
 from repro.network.discretize import DiscreteNetwork
 from repro.network.io import network_from_json
 from repro.tasks import generate_layout, optimize_schedule, verify_schedule
@@ -60,18 +60,14 @@ class RequestError(ValueError):
     """The payload is malformed; the connection stays up."""
 
 
-def _find_case(name: str) -> CaseStudy:
-    for study in all_case_studies():
-        if study.name.lower().replace(" ", "-") == name:
-            return study
-    raise RequestError(f"unknown case study {name!r}")
-
-
 def parse_scenario(payload: dict) -> tuple[DiscreteNetwork, Schedule, float]:
     """Resolve (discrete network, schedule, r_t) from a request payload."""
     case = payload.get("case")
     if case:
-        study = _find_case(str(case))
+        try:
+            study = case_study(str(case))
+        except ValueError as exc:
+            raise RequestError(str(exc)) from None
         return study.discretize(), study.schedule, study.r_t_min
     network = payload.get("network")
     schedule = payload.get("schedule")

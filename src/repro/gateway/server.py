@@ -22,9 +22,11 @@ request carries an optional ``deadline_s`` that is enforced at
 admission (reject when already expired), after queueing (reject when
 the wait consumed it) and during the solve (the optimisation wall
 budget — :class:`repro.opt.minimize._DescentBudget` — gets the
-remainder).  Shutdown drains: accept sockets close first, inflight
-requests get ``drain_s`` to finish, then the pool is torn down and the
-socket unlinked.
+remainder).  A unix-socket connection serves requests until its
+client closes it, so a client pays the connect once, not per request.
+Shutdown drains: accept sockets close first, inflight requests get
+``drain_s`` to finish, the client connections still open are closed,
+then the pool is torn down and the socket unlinked.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ class GatewayConfig:
     drain_s: float = 10.0
 
 
+#: How long shutdown waits for the handlers of the connections it
+#: closed; an idle one returns at once.
+CLOSE_GRACE_S = 1.0
+
+
 class Gateway:
     """One gateway: servers + worker pool + result cache + metrics."""
 
@@ -81,6 +88,9 @@ class Gateway:
         self._closed = asyncio.Event()
         self._closing = False
         self._pending = 0
+        #: Open client connections, handler task -> writer; ``None``
+        #: once shutdown has closed them.
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] | None = {}
 
     # -- lifecycle ----------------------------------------------------
 
@@ -98,12 +108,12 @@ class Gateway:
         path = self.config.socket_path
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
-        self._servers.append(
-            await asyncio.start_unix_server(self._handle_ndjson, path=path)
-        )
+        self._servers.append(await asyncio.start_unix_server(
+            self._tracked(self._handle_ndjson), path=path
+        ))
         if self.config.http_port is not None:
             self._servers.append(await asyncio.start_server(
-                self._handle_http, host="127.0.0.1",
+                self._tracked(self._handle_http), host="127.0.0.1",
                 port=self.config.http_port,
             ))
         obs_events.emit(
@@ -116,7 +126,13 @@ class Gateway:
         await self._closed.wait()
 
     async def shutdown(self, reason: str = "") -> None:
-        """Stop accepting, drain inflight work, tear the pool down."""
+        """Stop accepting, drain inflight work, tear the pool down.
+
+        The client connections still open after the drain are closed
+        before the listeners are awaited: since Python 3.12.1 a
+        listener's ``wait_closed`` waits for every connection to drop,
+        and an idle client would hold it forever.
+        """
         if self._closing:
             return
         self._closing = True
@@ -124,12 +140,17 @@ class Gateway:
                         pending=self._pending)
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            await server.wait_closed()
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_s
         while self._pending > 0 and loop.time() < deadline:
             await asyncio.sleep(0.05)
+        clients, self._clients = self._clients, None
+        for writer in clients.values():
+            writer.close()
+        if clients:
+            await asyncio.wait(list(clients), timeout=CLOSE_GRACE_S)
+        for server in self._servers:
+            await server.wait_closed()
         if self.pool is not None:
             await loop.run_in_executor(None, self.pool.close)
         if self._executor is not None:
@@ -151,8 +172,31 @@ class Gateway:
 
     # -- transports ---------------------------------------------------
 
+    def _tracked(self, handler):
+        """``handler`` with its connection registered for shutdown."""
+
+        async def serve(reader, writer) -> None:
+            clients = self._clients
+            if clients is None:
+                # Accepted just before shutdown closed the connections.
+                writer.close()
+                return
+            task = asyncio.current_task()
+            clients[task] = writer
+            self.registry.inc("gateway.connections")
+            try:
+                await handler(reader, writer)
+            finally:
+                del clients[task]
+
+        return serve
+
     async def _handle_ndjson(self, reader, writer) -> None:
-        """Unix-socket transport: one JSON object per line, both ways."""
+        """Unix-socket transport: one JSON object per line, both ways.
+
+        Serves requests in order until the client closes the connection
+        or shutdown closes it under the handler.
+        """
         try:
             while True:
                 line = await reader.readline()
@@ -166,7 +210,7 @@ class Gateway:
                     response = await self.process(payload)
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
+        except ConnectionError:
             pass
         finally:
             writer.close()
@@ -249,15 +293,17 @@ class Gateway:
         self.registry.inc("gateway.requests")
         budget = _DescentBudget(payload.get("deadline_s"))
         use_cache = bool(not payload.get("no_cache") and task != "fuzz")
-        ekey = exact_key(payload) if use_cache else None
-        fkey = family_key(payload) if use_cache else None
-        warm = None
+        ekey = fkey = warm = None
         if use_cache:
+            ekey = exact_key(payload)
             entry = self.cache.lookup_exact(ekey)
             if entry is not None:
                 obs_events.emit("gateway.cache_hit", task=task,
                                 key=ekey[:12], hits=entry.hits)
                 return {**entry.response, "cached": True}
+            # Only a miss needs the family key: for the warm-start
+            # lookup here and for the cache put after the solve.
+            fkey = family_key(payload)
             family_entry = self.cache.lookup_family(fkey, exclude=ekey)
             if family_entry is not None:
                 warm = {

@@ -508,10 +508,6 @@ def run_batch(
 # ----------------------------------------------------------------------
 
 
-def _case_key(name: str) -> str:
-    return name.lower().replace(" ", "-")
-
-
 def run_case_task(case: str, task: str, parallel: int = 1, **kwargs):
     """Run one design task on one named case study (a batchable unit).
 
@@ -519,16 +515,12 @@ def run_case_task(case: str, task: str, parallel: int = 1, **kwargs):
     one of ``"verification"``, ``"generation"``, ``"optimization"``.
     Remaining keyword arguments are forwarded to the task function.
     """
-    from repro.casestudies import all_case_studies
+    from repro.casestudies import case_study
     from repro.tasks.generation import generate_layout
     from repro.tasks.optimization import optimize_schedule
     from repro.tasks.verification import verify_schedule
 
-    study = next(
-        (s for s in all_case_studies() if _case_key(s.name) == case), None
-    )
-    if study is None:
-        raise ValueError(f"unknown case study {case!r}")
+    study = case_study(case)
     net = study.discretize()
     if task == "verification":
         return verify_schedule(
@@ -559,7 +551,7 @@ def table1_jobs(
         studies = studies[:2]
     jobs = []
     for study in studies:
-        key = _case_key(study.name)
+        key = study.key
         for task, kwargs in (
             ("verification", {}),
             ("generation", {}),

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.casestudies import all_case_studies
+from repro.casestudies import all_case_studies, case_study
 from repro.casestudies.complex_layout import complex_layout
 from repro.casestudies.nordlandsbanen import (
     STATIONS,
@@ -41,6 +41,42 @@ class TestInventory:
             assert not verification.satisfiable
             assert generation.satisfiable
             assert optimization.satisfiable
+
+
+class TestLookup:
+    KEYS = ["running-example", "simple-layout", "complex-layout",
+            "nordlandsbanen"]
+
+    def test_each_key_builds_its_study(self):
+        assert [study.key for study in all_case_studies()] == self.KEYS
+        for study in all_case_studies():
+            assert case_study(study.key).name == study.name
+
+    def test_builds_only_the_requested_study(self, monkeypatch):
+        import repro.casestudies.nordlandsbanen as module
+
+        def refuse():
+            raise AssertionError("built a study nobody asked for")
+
+        monkeypatch.setattr(module, "nordlandsbanen", refuse)
+        assert case_study("running-example").name == "Running Example"
+
+    def test_unknown_key_names_the_known_keys(self):
+        with pytest.raises(ValueError, match=", ".join(self.KEYS)):
+            case_study("atlantis")
+
+    def test_callers_keep_their_errors(self):
+        from repro.cli import main
+        from repro.gateway import RequestError
+        from repro.gateway.requests import parse_scenario
+        from repro.tasks.batch import run_case_task
+
+        with pytest.raises(SystemExit, match="known: running-example"):
+            main(["verify", "--case", "atlantis"])
+        with pytest.raises(ValueError, match="unknown case study"):
+            run_case_task("atlantis", "verification")
+        with pytest.raises(RequestError, match="unknown case study"):
+            parse_scenario({"case": "atlantis"})
 
 
 class TestRunningExample:

@@ -3,7 +3,10 @@
 The end-to-end tests run a real :class:`repro.gateway.GatewayThread`
 against the Running Example (sub-second solves), including the CI chaos
 mix: cache hit, delta-close warm-start, deadline expiry, and a worker
-killed mid-request.  The subprocess test drives the actual
+killed mid-request.  The connection tests pin the client's contract:
+one connection per thread and process, reused across requests, dropped
+after a timeout, reopened after a gateway restart, and closed by
+shutdown even while idle.  The subprocess test drives the actual
 ``repro serve`` / ``repro client`` CLI pair and asserts nothing leaks —
 no processes, no socket.
 """
@@ -11,6 +14,7 @@ no processes, no socket.
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 import os
 import signal
@@ -21,11 +25,13 @@ import time
 
 import pytest
 
+import repro.gateway.server as gateway_server
 from repro.casestudies import all_case_studies
 from repro.gateway import (
     CacheEntry,
     GatewayClient,
     GatewayConfig,
+    GatewayError,
     GatewayThread,
     ResultCache,
     TaskWorkerPool,
@@ -205,11 +211,18 @@ def gateway(tmp_path):
     )
     thread = GatewayThread(config)
     thread.start()
+    client = GatewayClient(socket_path=config.socket_path, timeout_s=120)
     try:
-        yield GatewayClient(socket_path=config.socket_path, timeout_s=120)
+        yield client
     finally:
+        client.close()
         thread.stop()
         os.environ.pop("REPRO_GATEWAY_FAULTS", None)
+
+
+def _connections(client: GatewayClient) -> int:
+    """Connections the gateway has accepted so far."""
+    return client.status()["metrics"]["gateway.connections"]
 
 
 class TestGatewayEndToEnd:
@@ -362,21 +375,95 @@ class TestGatewayEndToEnd:
         payload = _inline_payload(params={"strategy": "linear"})
         results: list[dict] = []
         lock = threading.Lock()
+        # No thread ends before all four have answers, so no two of them
+        # can share a thread ident (and with it a connection).
+        barrier = threading.Barrier(4, timeout=120)
+        before = _connections(gateway)
 
         def drive():
             response = gateway.request(payload)
             with lock:
                 results.append(response)
+            barrier.wait()
 
         threads = [threading.Thread(target=drive) for _ in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 4
         assert all(r["ok"] for r in results)
         costs = {r["objective_value"] for r in results}
         assert len(costs) == 1
+        # One connection per thread.
+        assert _connections(gateway) - before == 4
+
+
+class TestConnections:
+    def test_sequential_requests_share_one_connection(self, gateway):
+        for __ in range(3):
+            assert "unknown task" in gateway.request({"task": "x"})["error"]
+        assert gateway.request(_micro_verify_payload(4.0))["ok"]
+        assert _connections(gateway) == 1
+
+    def test_family_key_only_on_a_miss(self, gateway, monkeypatch):
+        calls = []
+
+        def counted(payload):
+            calls.append(payload)
+            return family_key(payload)
+
+        monkeypatch.setattr(gateway_server, "family_key", counted)
+        payload = _micro_verify_payload(4.0)
+        cold = gateway.request(payload)
+        assert cold["ok"] and not cold["cached"]
+        assert len(calls) == 1
+        hit = gateway.request(payload)
+        assert hit["cached"]
+        assert len(calls) == 1
+        # Uncached requests compute no key at all.
+        assert gateway.request(dict(payload, no_cache=True))["ok"]
+        assert len(calls) == 1
+
+    def test_timeout_drops_the_connection(self, gateway):
+        # The stalled request holds the only worker, so the next one
+        # queues behind it and its answer comes after the late one.
+        stalled = _inline_payload(task="verify", no_cache=True,
+                                  inject={"sleep_s": 1.5})
+        with GatewayClient(socket_path=gateway.socket_path,
+                           timeout_s=0.3) as client:
+            with pytest.raises(GatewayError, match="timed out"):
+                client.request(stalled)
+            client.timeout_s = 120
+            answer = client.request(
+                dict(_micro_verify_payload(4.0), no_cache=True)
+            )
+        assert answer["ok"] and answer["satisfiable"] is True
+        # The fixture's client, plus two for this one.
+        assert _connections(gateway) == 3
+
+    def test_forked_child_opens_its_own_connection(self, gateway):
+        before = _connections(gateway)
+        pid = os.fork()
+        if pid == 0:  # the child: answer through the exit code only
+            code = 1
+            try:
+                answer = gateway.request({"task": "child"})
+                code = 0 if "'child'" in answer["error"] else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            assert time.monotonic() < deadline, "forked client hung"
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert "'parent'" in gateway.request({"task": "parent"})["error"]
+        # The child's own connection; the parent kept using its own.
+        assert _connections(gateway) - before == 1
 
 
 class TestGatewayShutdown:
@@ -386,17 +473,58 @@ class TestGatewayShutdown:
         )
         thread = GatewayThread(config)
         thread.start()
-        client = GatewayClient(socket_path=config.socket_path)
-        assert client.request({"task": "verify", "case": "running-example"})
-        before = multiprocessing.active_children()
-        assert before  # pool worker lives
-        assert client.shutdown_server()["ok"]
+        with GatewayClient(socket_path=config.socket_path) as client:
+            assert client.request(
+                {"task": "verify", "case": "running-example"}
+            )
+            before = multiprocessing.active_children()
+            assert before  # pool worker lives
+            assert client.shutdown_server()["ok"]
         thread._thread.join(timeout=30)
         assert not os.path.exists(config.socket_path)
         deadline = time.monotonic() + 10
         while multiprocessing.active_children():
             assert time.monotonic() < deadline, "pool worker leaked"
             time.sleep(0.05)
+
+    def test_idle_connection_does_not_hold_stop(self, tmp_path, caplog):
+        config = GatewayConfig(
+            socket_path=str(tmp_path / "idle.sock"), workers=1
+        )
+        thread = GatewayThread(config)
+        thread.start()
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock, \
+                caplog.at_level(logging.ERROR, logger="asyncio"):
+            sock.settimeout(30)
+            sock.connect(config.socket_path)
+            with sock.makefile("rwb") as stream:
+                stream.write(b'{"op": "status"}\n')
+                stream.flush()
+                assert json.loads(stream.readline())["ok"]
+                start = time.monotonic()
+                thread.stop()
+                assert time.monotonic() - start < 5
+                assert not thread._thread.is_alive()
+                # The gateway closed the idle connection.
+                assert stream.readline() == b""
+        errors = [record.getMessage() for record in caplog.records
+                  if record.name == "asyncio"
+                  and record.levelno >= logging.ERROR]
+        assert not errors
+
+    def test_client_reconnects_after_restart(self, tmp_path):
+        config = GatewayConfig(
+            socket_path=str(tmp_path / "again.sock"), workers=1
+        )
+        with GatewayClient(socket_path=config.socket_path,
+                           timeout_s=60) as client:
+            with GatewayThread(config):
+                assert _connections(client) == 1
+            # The stop closed the connection this client holds; the
+            # next request reopens it on the new gateway.
+            with GatewayThread(config):
+                assert _connections(client) == 1
+                assert "unknown task" in client.request({"task": "x"})["error"]
 
 
 class TestServeCli:
