@@ -25,13 +25,25 @@ test-gateway:
 		-m gateway -W error::ResourceWarning \
 		-W error::pytest.PytestUnraisableExceptionWarning
 
+# A -j 2 session forks its helper only once a probe outlives the
+# primary's load: the generation run has such a probe (about 300
+# conflicts against a ~20 ms load), and the smoke fails unless its
+# metrics show the helper forked.  The verification runs answer before
+# that, so they race no helper.
 # The running-example verification is UNSAT by design, so exit 1 is the
 # expected outcome; any other code (0 = unexpectedly SAT, >=2 = crash) is
 # a distinct, loud failure rather than being folded into the same test.
 # Verification runs lazy, eager (one probe on the session) and with a
 # DRAT proof, which must check.
 smoke:
-	PYTHONPATH=src $(PYTHON) -m repro generate --case running-example -j 2
+	PYTHONPATH=src $(PYTHON) -m repro generate --case running-example -j 2 \
+		--metrics smoke-metrics.json
+	@$(PYTHON) -c "import json, sys; \
+		workers = json.load(open('smoke-metrics.json')).get( \
+			'service.workers', 0); \
+		sys.exit(0 if workers >= 1 else \
+			'smoke: generate -j 2 forked no helper')"
+	@echo "smoke: generate -j 2 forked its helper"
 	@for flags in --lazy --no-lazy --proof; do \
 		out=$$(PYTHONPATH=src $(PYTHON) -m repro verify \
 			--case running-example -j 2 $$flags); \

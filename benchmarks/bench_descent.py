@@ -3,9 +3,10 @@
 Runs the running example's generation and optimization descents at
 ``parallel=1`` (one in-process incremental solver) and at
 ``parallel=PROCESSES`` (the solver service: member 0, the primary,
-solves in process; the CNF reaches the helper workers once per descent
-through ``fork``, probes send them assumptions plus clause deltas, and
-they keep their learned clauses).  Both settings run the same descent
+solves in process; the helper workers fork once, when a probe first
+runs longer than the primary's load took, the CNF reaches them through
+that ``fork``, later probes send them assumptions plus clause deltas,
+and they keep their learned clauses).  Both settings run the same descent
 loop, and the service's primary walks the serial search, so the
 benchmark asserts equal verdicts, optima, optimality proofs and
 linear-descent probe counts.  It records both wall times, their ratio
@@ -14,7 +15,9 @@ and the clauses-shipped economics of the service under stable
 
 The ratio is recorded, never gated: it is a parallel speedup only on a
 host with more than ``PROCESSES`` CPUs (``bench.host_cpus``); on one or
-two CPUs it prices the race's fork and IPC overhead instead.
+two CPUs it prices the race's fork and IPC overhead instead, in the
+sessions that fork at all: a descent whose probes all answer before the
+primary's load would have finished forks no helper.
 
 Run via ``make bench-descent`` (writes ``BENCH_descent.json`` and
 appends a ``BENCH_HISTORY.jsonl`` record) or directly::

@@ -7,7 +7,9 @@ recording the speedup ratio in ``benchmark.extra_info``.
 
 When does parallelism help?  The portfolio keeps the serial configuration
 as its primary member, so a SAT answer costs at most the serial time (plus
-process overhead); the win comes from UNSAT answers — infeasible
+process overhead, paid only by a probe that outlives the primary's load:
+the helper is forked then, as it could not win an earlier answer); the
+win comes from UNSAT answers — infeasible
 verifications and the final "prove optimality" steps of a descent — where
 the *fastest* diversified member decides for everyone.  Consequently:
 

@@ -122,7 +122,12 @@ class GatewayClient:
             sock.settimeout(self.timeout_s)
         chunks: list[bytes] = []
         try:
-            sock.sendall(data)
+            try:
+                sock.sendall(data)
+            except (BrokenPipeError, ConnectionResetError):
+                # The gateway may have answered before it closed, as it
+                # does mid-way through a line over its limit: read on.
+                pass
             while True:
                 chunk = sock.recv(65536)
                 if not chunk:

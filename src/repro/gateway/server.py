@@ -71,6 +71,12 @@ class GatewayConfig:
 #: closed; an idle one returns at once.
 CLOSE_GRACE_S = 1.0
 
+#: Longest line either transport reads, in bytes: an NDJSON request, or
+#: an HTTP request or header line.  Far above the largest inline
+#: case-study payload (about 20 KB); a longer line is answered with a
+#: ``"request"`` error and its connection closed.
+MAX_LINE_BYTES = 1 << 20
+
 
 class Gateway:
     """One gateway: servers + worker pool + result cache + metrics."""
@@ -109,12 +115,13 @@ class Gateway:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(path)
         self._servers.append(await asyncio.start_unix_server(
-            self._tracked(self._handle_ndjson), path=path
+            self._tracked(self._handle_ndjson), path=path,
+            limit=MAX_LINE_BYTES,
         ))
         if self.config.http_port is not None:
             self._servers.append(await asyncio.start_server(
                 self._tracked(self._handle_http), host="127.0.0.1",
-                port=self.config.http_port,
+                port=self.config.http_port, limit=MAX_LINE_BYTES,
             ))
         obs_events.emit(
             "gateway.started", socket=path,
@@ -195,11 +202,20 @@ class Gateway:
         """Unix-socket transport: one JSON object per line, both ways.
 
         Serves requests in order until the client closes the connection
-        or shutdown closes it under the handler.
+        or shutdown closes it under the handler.  A line over
+        :data:`MAX_LINE_BYTES` is answered with an error and ends the
+        connection: the reader drops what it buffered of that line, so
+        where the next request starts is unknown.
         """
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    writer.write(json.dumps(self._line_too_long()).encode()
+                                 + b"\n")
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 try:
@@ -219,39 +235,8 @@ class Gateway:
 
     async def _handle_http(self, reader, writer) -> None:
         """Minimal HTTP/1.1: POST /solve with a JSON body, GET /status."""
-        status, response = 200, {"ok": False, "error": "bad request"}
         try:
-            request_line = (await reader.readline()).decode(
-                "latin-1", "replace"
-            )
-            parts = request_line.split()
-            method = parts[0] if parts else ""
-            target = parts[1] if len(parts) > 1 else "/"
-            length = 0
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = header.decode(
-                    "latin-1", "replace"
-                ).partition(":")
-                if name.strip().lower() == "content-length":
-                    with contextlib.suppress(ValueError):
-                        length = int(value.strip())
-            if method == "GET" and target.startswith("/status"):
-                response = self._status()
-            elif method == "POST":
-                body = await reader.readexactly(length) if length else b""
-                try:
-                    payload = json.loads(body or b"{}")
-                except json.JSONDecodeError as exc:
-                    status = 400
-                    response = {"ok": False, "error": f"bad json: {exc}"}
-                else:
-                    response = await self.process(payload)
-                    status = 200 if response.get("ok") else 400
-            else:
-                status, response = 404, {"ok": False, "error": "not found"}
+            status, response = await self._http_answer(reader)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             return
         body_bytes = json.dumps(response).encode()
@@ -267,6 +252,48 @@ class Gateway:
         writer.close()
         with contextlib.suppress(Exception):
             await writer.wait_closed()
+
+    async def _http_answer(self, reader) -> tuple[int, dict]:
+        """Read one HTTP request; return its status and JSON answer."""
+        try:
+            request_line = (await reader.readline()).decode(
+                "latin-1", "replace"
+            )
+            length = 0
+            while True:
+                header = await reader.readline()
+                if header in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = header.decode(
+                    "latin-1", "replace"
+                ).partition(":")
+                if name.strip().lower() == "content-length":
+                    with contextlib.suppress(ValueError):
+                        length = int(value.strip())
+        except ValueError:  # a line over MAX_LINE_BYTES
+            return 400, self._line_too_long()
+        parts = request_line.split()
+        method = parts[0] if parts else ""
+        target = parts[1] if len(parts) > 1 else "/"
+        if method == "GET" and target.startswith("/status"):
+            return 200, self._status()
+        if method != "POST":
+            return 404, {"ok": False, "error": "not found"}
+        body = await reader.readexactly(length) if length else b""
+        try:
+            payload = json.loads(body or b"{}")
+        except json.JSONDecodeError as exc:
+            return 400, {"ok": False, "error": f"bad json: {exc}"}
+        response = await self.process(payload)
+        return (200 if response.get("ok") else 400), response
+
+    def _line_too_long(self) -> dict:
+        """Count a line over :data:`MAX_LINE_BYTES`; the answer to it."""
+        self.registry.inc("gateway.rejected.oversized")
+        return {
+            "ok": False, "kind": "request",
+            "error": f"request line longer than {MAX_LINE_BYTES} bytes",
+        }
 
     # -- request processing -------------------------------------------
 

@@ -18,13 +18,16 @@ session: each stage's optimum is frozen with one unit clause and the
 next stage descends from the previous stage's best model.
 
 One descent loop serves every ``parallel`` setting, on the probe session
-that :func:`repro.sat.service.open_session` starts: one in-process
-incremental solver (:class:`~repro.sat.service.SerialSession`) at
-``parallel=1``; above it a :class:`~repro.sat.service.SolverService`,
-whose in-process primary walks that same serial search while resident
-*incremental* helper workers race it to prove each probe UNSAT — the
-CNF reaches them once, each probe ships only the assumptions plus the
-clause delta, and the primary's low-LBD learned clauses feed them.
+that :func:`repro.sat.service.open_session` starts at the descent's
+first probe: one in-process incremental solver
+(:class:`~repro.sat.service.SerialSession`) at ``parallel=1``; above it
+a :class:`~repro.sat.service.SolverService`, whose in-process primary
+walks that same serial search while resident *incremental* helper
+workers, forked once a probe outlives the primary's load, race it to
+prove each probe UNSAT — the CNF reaches them once, each later probe
+ships only the assumptions plus the clause delta, and the primary's
+low-LBD learned clauses feed them.  A descent that ends without a probe
+builds no solver and loads no clause.
 How the service degrades (the primary alone, when it cannot fork or
 loses every helper) is its decision alone; the descent never sees it.
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.logic.cnf import CNF, clauses_satisfied
@@ -69,7 +73,7 @@ from repro.sat.service import (
     SolverService,
     open_session,
 )
-from repro.sat.types import SolveResult, SolverConfig
+from repro.sat.types import SolveResult, SolverConfig, SolverStats
 
 #: A stage's model -> cost function (see :func:`_cost_counter`).
 _CostFn = Callable[[list[int]], int]
@@ -205,12 +209,18 @@ def minimize_sum(
 
     ``parallel > 1`` races every probe over that many diversified
     configurations (``portfolio_members`` overrides them) on a solver
-    service started once per descent: member 0 solves in process, as
-    the serial path does, and the others are resident helper workers
-    that can end a probe early with an UNSAT proof; the service keeps
-    probing on member 0 alone when it cannot fork or loses every
-    helper.  ``parallel=1`` is exactly the serial incremental path
-    (``portfolio`` is then None).  ``descent_timeout_s`` bounds
+    service: member 0 solves in process, as the serial path does, and
+    the others are resident helper workers, forked once a probe
+    outlives member 0's initial load, that can end a probe early with
+    an UNSAT proof; the service keeps probing on member 0 alone when it
+    cannot fork or loses every helper.  ``parallel=1`` is exactly the
+    serial incremental path (``portfolio`` is then None).  Either
+    session opens at the descent's first probe and loads the clauses as
+    they stand then, in order: a descent that ends without a probe (a
+    warm or restored incumbent already at its lower bound, a budget
+    spent before the first probe) builds no solver and loads no clause;
+    its ``solver_stats`` keys all read 0 and its ``portfolio`` is None.
+    ``descent_timeout_s`` bounds
     each *bound-probing* call; ``wall_deadline_s`` bounds the whole
     descent — on expiry the result carries the best model and bounds
     found so far with ``status="timeout"``.
@@ -282,24 +292,31 @@ def minimize_sum(
 
     budget = _DescentBudget(wall_deadline_s)
     try:
-        session = open_session(
-            cnf.num_vars, cnf.clauses, parallel, portfolio_members,
-            SolverConfig(profile=True) if profile else None,
+        descent = _Descent(
+            partial(
+                open_session, cnf.num_vars, cnf.clauses, parallel,
+                portfolio_members,
+                SolverConfig(profile=True) if profile else None,
+            ),
+            cnf, strategy, descent_timeout_s, budget, refine, ckpt,
+            on_improvement,
         )
         try:
-            descent = _Descent(
-                session, cnf, strategy, descent_timeout_s, budget, refine,
-                ckpt, on_improvement,
-            )
             result = descent.run(
                 [objective_lits, *(then or ())], state, warm
             )
         finally:
-            session.close()
-        # Read after close: a service folds in the helper replies that
-        # were still in flight when the last probe ended.
-        result.solver_stats = session.solver_stats()
-        result.portfolio = session.summary()
+            session = descent.session
+            if session is not None:
+                session.close()
+        if session is None:
+            # No probe ran, so no solver was built: every counter is 0.
+            result.solver_stats = SolverStats().as_dict()
+        else:
+            # Read after close: a service folds in the helper replies
+            # that were still in flight when the last probe ended.
+            result.solver_stats = session.solver_stats()
+            result.portfolio = session.summary()
         result.fingerprint = fingerprint
         return result
     finally:
@@ -362,13 +379,16 @@ class _Stage:
 class _Descent:
     """Every probe of one descent, on one probe session.
 
-    ``ckpt`` and ``on_improvement`` serve the first stage only:
-    :meth:`run` drops them before the later stages.
+    The first probe opens the session with ``open_probe_session`` (so
+    it loads the clauses as they stand then); a descent that never
+    probes builds no solver and loads no clause.  ``ckpt`` and
+    ``on_improvement`` serve the first stage only: :meth:`run` drops
+    them before the later stages.
     """
 
     def __init__(
         self,
-        session: SerialSession | SolverService,
+        open_probe_session: Callable[[], SerialSession | SolverService],
         cnf: CNF,
         strategy: str,
         descent_timeout_s: float | None,
@@ -377,7 +397,9 @@ class _Descent:
         ckpt: DescentCheckpoint | None,
         on_improvement: Callable[[int], None] | None,
     ):
-        self.session = session
+        self._open_probe_session = open_probe_session
+        #: The probe session (None until the first probe).
+        self.session: SerialSession | SolverService | None = None
         self.cnf = cnf
         # The formula's own variables: the fingerprint's ``num_vars``.
         self.own_vars = cnf.num_vars
@@ -701,6 +723,8 @@ class _Descent:
         timed-out UNKNOWN — a dirty model is never reported as the
         answer.
         """
+        if self.session is None:
+            self.session = self._open_probe_session()
         budget = self.budget
         outcome = self.session.probe(
             assumptions, budget.probe_budget(per_probe_s)

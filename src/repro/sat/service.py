@@ -17,11 +17,20 @@ with a :class:`ProbeOutcome`;
 * :class:`SolverService` (``parallel > 1``) runs member 0 of its
   :class:`~repro.sat.portfolio.PortfolioMember` list, the *primary*, in
   process as a :class:`SerialSession` — exactly the serial search — and
-  forks one long-lived *helper* worker per further member **once per
-  session**.  The initial CNF reaches the helpers for free via ``fork``
-  and each probe ships them only the assumption literals plus the
-  clause *delta* (for example newly built totalizer layers) over a pipe
-  — O(delta) traffic instead of O(|CNF|) per probe
+  forks one long-lived *helper* worker per further member **at most
+  once per session, on demand**: the first time a probe has run longer
+  than the primary's initial load took.  A helper must load the whole
+  CNF before it can search, so it cannot win a probe that ends sooner;
+  meanwhile each helper costs the primary the fork, copy-on-write
+  faults on the heap pages it writes while the helper lives, CPU shared
+  with the helper's load and search, and ``close()``'s wait for its
+  reply.  So a session whose probes all end sooner forks nothing.  The
+  check runs as a probe starts and in the primary's progress hook; the
+  helpers then join the probe in progress with the remaining budget.
+  The clauses as they stand at the fork reach the helpers for free via
+  ``fork``, and each later probe ships them only the assumption
+  literals plus the clause *delta* (for example newly built totalizer
+  layers) over a pipe — O(delta) traffic instead of O(|CNF|) per probe
   (``service.clauses_shipped`` vs ``service.clauses_skipped``).  Deltas
   and shared clauses travel as flat ``array('i')`` buffers
   (:mod:`repro.sat.wire`), one pickled blob per probe instead of one
@@ -53,9 +62,11 @@ learned) are deduped by sorted-literal key and queued for the other
 helpers' next probes under a per-probe budget (``share.*`` counters).
 
 Helpers are forked and reaped by :func:`repro.workers.spawn` and
-:func:`repro.workers.kill`.  Helpers that crash, close their pipe, or
-still owe a reply ``_CANCEL_GRACE_S`` after their probe ended are killed
-and recorded (``service.worker_crashes``).  This module alone decides
+:func:`repro.workers.kill`; a helper forked from the progress hook is
+forked from inside the primary's search, which goes on untouched.
+Helpers that crash, close their pipe, or still owe a reply
+``_CANCEL_GRACE_S`` after their probe ended are killed and recorded
+(``service.worker_crashes``).  This module alone decides
 how the session degrades: when it cannot fork, or every helper has died,
 it retires the helpers and keeps probing on the primary — no solver is
 rebuilt and no clause reloaded — recorded as
@@ -108,6 +119,11 @@ _CLOSE_WAIT_S = 1.0
 #: Cancellation checks between progress events a session emits while the
 #: event stream is enabled (128 conflicts per check; tests shrink this).
 _PROGRESS_EVENT_CHECKS = 16
+
+#: A service forks its helpers once a probe has run this many times as
+#: long as the primary's initial load took (tests set 0: the helpers
+#: then fork as the first probe starts).
+_FORK_AFTER_LOADS = 1.0
 
 
 #: Learned-clause exchange: only clauses with LBD at or below this are
@@ -445,7 +461,8 @@ class SolverService:
             service.close()
 
     :attr:`solver` is the primary's solver.  :meth:`worker_pids` and
-    :attr:`alive_count` cover the helper processes (members 1..N-1);
+    :attr:`alive_count` cover the helper processes (members 1..N-1),
+    none until a probe has outlived the primary's load;
     ``summary()["service"]["workers"]`` lists every member, the primary
     first.
     """
@@ -491,52 +508,77 @@ class SolverService:
         self._helper_stats: dict = {}
         self._winners: dict[str, int] = {}
         self._wall = 0.0
+        #: How long a probe runs before the helpers fork; None once they
+        #: forked (or could not), and for a primary without helpers.
+        self._fork_after_s: float | None = None
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "SolverService":
-        """Fork the helpers, then build and load the primary.
+        """Build and load the primary; time that load.
 
-        The current clauses reach the helpers through ``fork``; the
-        primary's solver is allocated after the fork, so its arrays are
-        never copy-on-write shared.  A platform without ``fork``, or a
-        fork that fails, leaves the primary probing alone (see module
-        docstring).
+        No helper is forked here: the first probe that runs longer than
+        this load forks them (see module docstring).  A platform without
+        ``fork``, or a fork that fails, leaves the primary probing alone.
         """
         if self._started:
             raise ServiceError("service already started")
         self._started = True
         self.metrics.inc("service.sessions")
         self.metrics.counter("service.worker_crashes")  # stable key
-        reason = self._fork_helpers() if len(self._members) > 1 else ""
+        self.metrics.set("service.workers", 0)
         member = self._members[0]
+        loading = time.perf_counter()
         self._primary = SerialSession(
             self._num_vars, self._clauses, member.config,
             solver_factory=member.solver_factory,
         ).start()
+        if len(self._members) > 1:
+            self._fork_after_s = (
+                (time.perf_counter() - loading) * _FORK_AFTER_LOADS
+            )
         solver = self._primary.solver
-        # The primary reads the helpers' replies from its progress hook;
-        # the event-stream progress feed rides along.
+        # The primary reads the helpers' replies from its progress hook
+        # (and forks them there once they are due); the event-stream
+        # progress feed rides along.
         solver.on_progress(
             _with_progress(self._check, obs_events.progress_callback()),
             _CANCEL_CHECK_CONFLICTS,
         )
         self._loaded = len(self._clauses)
         self._note_kernel(0, solver.kernel)
+        self.metrics.inc("service.clauses_loaded", self._loaded)
+        trace.event("service.start", clauses=self._loaded)
+        return self
+
+    def _fork_if_due(self) -> None:
+        """Fork the helpers once the probe in progress has run longer
+        than the primary's initial load, and send them that probe."""
+        if self._fork_after_s is None:
+            return
+        started = self._probe_args[3]
+        if time.perf_counter() - started < self._fork_after_s:
+            return
+        self._fork_after_s = None
+        reason = self._fork_helpers()
+        self.metrics.set("service.workers", len(self._helpers))
+        trace.event("service.fork", probe=self._probe_id,
+                    workers=len(self._helpers))
         if reason:
             self._fall_back(reason)
-        self.metrics.set("service.workers", len(self._helpers))
-        self.metrics.inc("service.clauses_loaded", self._loaded)
-        trace.event("service.start", workers=len(self._helpers),
-                    clauses=self._loaded)
-        return self
+            return
+        for helper in self._helpers:
+            self._send(helper)
 
     def _fork_helpers(self) -> str:
         """Fork one helper per member after the primary; returns why the
         service must fall back, or ``""``."""
         if not fork_available():
             return "platform lacks the fork start method"
-        self._cancelled = multiprocessing.get_context("fork").RawValue("q", 0)
+        # The probe in progress has not ended.
+        self._cancelled = multiprocessing.get_context("fork").RawValue(
+            "q", self._probe_id - 1
+        )
         child_trace = trace.enabled()
         child_events = obs_events.enabled()
         shipped = len(self._clauses)
@@ -668,6 +710,7 @@ class SolverService:
         self._share_left = _SHARE_BUDGET
         self._probing = True
         try:
+            self._fork_if_due()
             for helper in self._helpers:
                 if helper.alive and not helper.owed:
                     self._send(helper)
@@ -730,8 +773,10 @@ class SolverService:
         return outcome
 
     def _check(self, snapshot) -> None:
-        """The primary's progress hook: read the helper replies that are
-        ready; stop the primary once a helper proved the probe UNSAT."""
+        """The primary's progress hook: fork the helpers when they are
+        due, read the helper replies that are ready; stop the primary
+        once a helper proved the probe UNSAT."""
+        self._fork_if_due()
         self._poll()
         if self._helper_unsat is not None:
             raise _ProbeCancelled

@@ -22,7 +22,8 @@ Example::
     plan = FaultPlan(kill_member="neg-phase", kill_probe=1)
     with injected(plan):
         result = minimize_sum(cnf, lits, parallel=2)
-    # helper "neg-phase" SIGKILLed itself at probe 1; the descent
+    # if probe 1 outlived the primary's load, it forked helper
+    # "neg-phase", which SIGKILLed itself in that probe; the descent
     # finished on the in-process primary.
 """
 
@@ -51,8 +52,10 @@ class FaultPlan:
         kill_member: service helper that SIGKILLs
             its own process at probe number ``kill_probe`` (1-based; 0 =
             during worker startup, before the solver is built).  A
-            service helper only sees the probes it takes part in: one
-            that is still busy when a probe starts skips it.
+            service helper only sees the probes it takes part in: it is
+            forked during the first probe that outlives the primary's
+            load, and one that is still busy when a probe starts skips
+            it.
         hang_member: member that sleeps ``hang_s`` seconds at probe
             ``hang_probe`` instead of answering — the service must not
             wait for it, and ``close()`` must reap it.

@@ -131,3 +131,18 @@ def crossing_schedule():
         ),
     ]
     return Schedule(runs, duration_min=6.0)
+
+
+@pytest.fixture
+def helpers_from_first_probe(monkeypatch):
+    """Solver-service helpers fork as a session's first probe starts.
+
+    A service forks its helpers only once a probe outlives the primary's
+    initial load, which the small formulas of the tests rarely do; this
+    fixture keeps the service, fault, telemetry, race and parity tests
+    racing (and killing, hanging, crashing) real helpers from probe 1
+    on.  Forked workers (a batch job's session) inherit it.
+    """
+    from repro.sat import service
+
+    monkeypatch.setattr(service, "_FORK_AFTER_LOADS", 0.0)

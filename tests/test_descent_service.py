@@ -16,6 +16,7 @@ import errno
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -37,7 +38,7 @@ from repro.sat.portfolio import (
     diversified_members,
     fork_available,
 )
-from repro.sat.service import ServiceError, SolverService
+from repro.sat.service import SerialSession, ServiceError, SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
 from repro.tasks import generate_layout, optimize_schedule
@@ -95,6 +96,34 @@ class _HeldPrimary(Solver):
     def solve(self, assumptions=()):
         self._service._helpers[0].conn.poll(60)
         return super().solve(assumptions)
+
+
+class _HookHeldPrimary(Solver):
+    """A primary whose first progress check comes only after the probe
+    has outlived the load (it sleeps first), so that check forks the
+    helper; every check then waits for the helper's reply (or a
+    minute) before reading it, so the helper's UNSAT ends the probe."""
+
+    def __init__(self, config, service):
+        super().__init__(config)
+        self._service = service
+        #: The primary's conflicts when its progress hook forked.
+        self.conflicts_at_fork = None
+
+    def on_progress(self, callback, interval_conflicts=2000):
+        if callback is None:
+            return super().on_progress(None)
+        service = self._service
+
+        def held(snapshot):
+            if not service._helpers:
+                time.sleep(0.05)
+                callback(snapshot)  # forks the helper, sends it the probe
+                self.conflicts_at_fork = snapshot["conflicts"]
+            service._helpers[0].conn.poll(60)
+            callback(snapshot)
+
+        return super().on_progress(held, interval_conflicts)
 
 
 def _kill(pid):
@@ -205,6 +234,7 @@ class TestLearnedExchange:
 # --- the service itself ----------------------------------------------------
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestSolverService:
     def test_session_probes_and_delta_shipping(self):
         clauses = [list(c) for c in SAT_CLAUSES]
@@ -319,9 +349,109 @@ class TestSolverService:
         assert service.reports[1].stats["conflicts"] > 0
 
 
+# --- helpers fork on demand ------------------------------------------------
+
+
+def _preassigned(count: int = 20000) -> tuple[int, list[list[int]]]:
+    """One unit clause per variable: the load propagates every variable,
+    and a probe then answers without a decision or a conflict."""
+    return count, [[var if var % 2 else -var] for var in range(1, count + 1)]
+
+
+def _answers(session, probes) -> list[tuple]:
+    answers = []
+    for assumptions in probes:
+        outcome = session.probe(assumptions)
+        answers.append((outcome.verdict, outcome.model, outcome.unsat_core))
+    return answers
+
+
+@needs_fork
+class TestOnDemandHelpers:
+    def test_probes_shorter_than_the_load_fork_no_helper(self):
+        num_vars, clauses = _preassigned()
+        probes = [(), (1,), (-1,), (3, -4)]
+        serial = SerialSession(num_vars, clauses).start()
+        expected = _answers(serial, probes)
+        service = SolverService(num_vars, clauses, processes=2)
+        with service:
+            answers = _answers(service, probes)
+            assert service.worker_pids() == []
+            summary = service.summary()
+        assert answers == expected
+        assert [verdict for verdict, __, __ in answers] == [
+            SolveResult.SAT, SolveResult.SAT, SolveResult.UNSAT,
+            SolveResult.SAT,
+        ]
+        counters = summary["service"]["counters"]
+        assert counters["service.workers"] == 0
+        assert counters["service.probes"] == len(probes)
+        assert "fallback" not in summary["service"]
+        assert summary["winners"] == {"base": len(probes)}
+
+    def test_probe_outliving_the_load_forks_and_a_helper_can_win(self):
+        num_vars, clauses = _pigeonhole(6)  # PHP(7, 6): 775 conflicts
+        primary, helper = diversified_members(2)
+        service = SolverService(num_vars, clauses, members=[
+            dataclasses.replace(
+                primary,
+                solver_factory=lambda config: _HookHeldPrimary(
+                    config, service
+                ),
+            ),
+            helper,
+        ])
+        with service:
+            assert service.worker_pids() == []
+            outcome = service.probe()
+            [pid] = service.worker_pids()
+            assert pid is not None and pid != os.getpid()
+            counters = service.metrics.as_dict()
+        # Forked from the primary's progress hook, mid-search ...
+        assert service.solver.conflicts_at_fork >= 128
+        assert counters["service.workers"] == 1
+        # ... and the helper's UNSAT ended the probe.
+        assert outcome.verdict is SolveResult.UNSAT
+        assert outcome.winner == 1
+        assert outcome.winner_name == helper.name
+        assert service.reports[1].stats["conflicts"] > 0
+
+    def test_fork_failure_mid_probe_falls_back(self, no_fork):
+        num_vars, clauses = _pigeonhole(6)
+        service = SolverService(num_vars, clauses, processes=2)
+        with service:
+            # Nothing is forked, so nothing has failed, at start.
+            assert "fallback" not in service.summary()["service"]
+            outcome = service.probe()
+            summary = service.summary()
+            assert service.probe().verdict is SolveResult.UNSAT
+        assert outcome.verdict is SolveResult.UNSAT
+        assert outcome.winner == 0
+        assert "injected" in summary["service"]["fallback"]
+        assert service.worker_pids() == []
+
+    def test_close_reaps_helpers_forked_mid_probe(self):
+        num_vars, clauses = _pigeonhole(6)
+        service = SolverService(num_vars, clauses, processes=3)
+        service.start()
+        try:
+            assert service.worker_pids() == []
+            outcome = service.probe()
+            pids = service.worker_pids()
+        finally:
+            service.close()
+        assert outcome.verdict is SolveResult.UNSAT
+        assert len(pids) == 2 and None not in pids
+        assert service.alive_count == 0
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # terminated and reaped
+
+
 # --- descent-level crash handling and fallback -----------------------------
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestDescentCrashHandling:
     def test_one_worker_crash_keeps_descent_on_survivors(self):
         cnf, lits = _descent_cnf()
@@ -440,6 +570,7 @@ class TestServiceCheckpointUnits:
 # --- differential: serial vs service descents -----------------------------
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestServiceDifferential:
     def test_running_example_generation_agrees(self):
         study = running_example()
@@ -500,6 +631,7 @@ def _generation_trajectory(parallel: int, lazy: bool):
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestTrajectoryParity:
     """The service's primary member walks the serial trajectory exactly:
     same improvements, same probe count, same refinement rounds."""
@@ -536,6 +668,7 @@ class TestTrajectoryParity:
 # --- trace round-trip: probes ship O(delta), not O(|CNF|) ------------------
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestClausesShippedTrace:
     def test_probe_deltas_in_trace_roundtrip(self, tmp_path):
         trace.install(trace.Tracer())

@@ -103,6 +103,7 @@ class TestCoreMatchesLinear:
 
     @pytest.mark.parametrize("variant", CORE_VARIANTS)
     @pytest.mark.parametrize("seed", [2, 3, 5])
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_small_scenarios(self, seed, variant):
         scenario = with_headroom(
             generate_scenario(ScenarioSpec.sampled(seed, max_trains=3)), 1

@@ -69,6 +69,7 @@ class TestFaultPlans:
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestServiceFaults:
     def test_worker_kill_mid_descent_survives(self):
         # Kill the helper at probe 1, which reaches every helper (one
@@ -97,11 +98,12 @@ class TestServiceFaults:
         with injected(FaultPlan(hang_member="neg-phase", hang_probe=1,
                                 hang_s=30.0)):
             service = SolverService(3, clauses, processes=2).start()
-            [sleeper] = service.worker_pids()
             try:
                 start = time.perf_counter()
                 outcome = service.probe()
                 elapsed = time.perf_counter() - start
+                # Forked as the probe started, and still asleep in it.
+                [sleeper] = service.worker_pids()
             finally:
                 service.close()
         assert outcome.verdict is SolveResult.SAT
@@ -167,6 +169,7 @@ class TestCheckpointFaults:
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestLazyFaults:
     """Helper crashes during the CEGAR refinement loop.
 

@@ -225,6 +225,12 @@ def _connections(client: GatewayClient) -> int:
     return client.status()["metrics"]["gateway.connections"]
 
 
+def _asyncio_errors(caplog) -> list[str]:
+    """The errors asyncio logged (an unhandled handler exception, say)."""
+    return [record.getMessage() for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR]
+
+
 class TestGatewayEndToEnd:
     def test_cold_then_cached_then_warm(self, gateway):
         payload = _inline_payload(params={
@@ -443,6 +449,67 @@ class TestConnections:
         # The fixture's client, plus two for this one.
         assert _connections(gateway) == 3
 
+    def test_request_line_over_the_limit_is_answered(self, gateway,
+                                                     caplog):
+        payload = dict(_micro_verify_payload(4.0), no_cache=True)
+        before = _connections(gateway)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            # Past asyncio's default 64 KiB, well within the limit.
+            answer = gateway.request(dict(payload, note="x" * 70000))
+            assert answer["ok"] and answer["satisfiable"] is True
+            limit = gateway_server.MAX_LINE_BYTES
+            # Just over the limit (the line arrives whole), and far over
+            # it (the gateway answers while the client is still sending).
+            for size in (limit, 3 * limit):
+                answer = gateway.request(dict(payload, note="x" * size))
+                assert answer == {
+                    "ok": False, "kind": "request",
+                    "error": f"request line longer than {limit} bytes",
+                }
+                # That connection is closed; the next request reopens.
+                assert gateway.request(payload)["ok"]
+            status = gateway.status()
+        assert not _asyncio_errors(caplog)
+        assert status["metrics"]["gateway.connections"] - before == 2
+        assert status["metrics"]["gateway.rejected.oversized"] == 2
+
+    def test_http_line_over_the_limit_is_answered(self, tmp_path, caplog):
+        config = GatewayConfig(socket_path=str(tmp_path / "http.sock"),
+                               workers=1, http_port=0)
+
+        def get_status(port: int, pad: int | None) -> tuple[bytes, dict]:
+            header = b"" if pad is None else b"X-Pad: " + b"x" * pad + b"\r\n"
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=30) as sock:
+                try:
+                    sock.sendall(b"GET /status HTTP/1.1\r\n" + header
+                                 + b"\r\n")
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # answered before the header was read
+                with sock.makefile("rb") as stream:
+                    status = stream.readline()
+                    while stream.readline() not in (b"\r\n", b""):
+                        pass
+                    body = stream.read()
+            return status, json.loads(body) if body else {}
+
+        with GatewayThread(config) as thread, \
+                caplog.at_level(logging.ERROR, logger="asyncio"):
+            port = thread.gateway._servers[1].sockets[0].getsockname()[1]
+            # Past asyncio's default 64 KiB, well within the limit.
+            status, answer = get_status(port, 70000)
+            assert status.startswith(b"HTTP/1.1 200") and answer["ok"]
+            limit = gateway_server.MAX_LINE_BYTES
+            status, answer = get_status(port, limit)
+            assert status.startswith(b"HTTP/1.1 400")
+            assert answer == {
+                "ok": False, "kind": "request",
+                "error": f"request line longer than {limit} bytes",
+            }
+            status, answer = get_status(port, None)
+            assert status.startswith(b"HTTP/1.1 200") and answer["ok"]
+        assert not _asyncio_errors(caplog)
+
     def test_forked_child_opens_its_own_connection(self, gateway):
         before = _connections(gateway)
         pid = os.fork()
@@ -507,10 +574,7 @@ class TestGatewayShutdown:
                 assert not thread._thread.is_alive()
                 # The gateway closed the idle connection.
                 assert stream.readline() == b""
-        errors = [record.getMessage() for record in caplog.records
-                  if record.name == "asyncio"
-                  and record.levelno >= logging.ERROR]
-        assert not errors
+        assert not _asyncio_errors(caplog)
 
     def test_client_reconnects_after_restart(self, tmp_path):
         config = GatewayConfig(

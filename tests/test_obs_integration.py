@@ -102,6 +102,7 @@ class TestStatsAlias:
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestCrashTelemetry:
     def test_crash_report_carries_config_and_traceback(self):
         num_vars, clauses = UNSAT_CNF
@@ -131,7 +132,9 @@ def _traced_job(tag):
 
 @needs_fork
 class TestForkMerge:
-    def test_portfolio_member_spans_merge_into_parent(self):
+    def test_portfolio_member_spans_merge_into_parent(
+        self, helpers_from_first_probe
+    ):
         tracer = trace.install(trace.Tracer())
         num_vars, clauses = UNSAT_CNF
         solve_portfolio(num_vars, clauses, parallel=2)

@@ -12,6 +12,8 @@ from repro.logic import CNF, VarPool
 from repro.opt import load_checkpoint, minimize_sum
 from repro.opt.checkpoint import DescentCheckpoint, descent_fingerprint
 from repro.sat.portfolio import fork_available
+from repro.sat.solver import Solver
+from repro.sat.types import SolverStats
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform lacks the fork start method"
@@ -133,6 +135,29 @@ class TestMinimizeSumDetails:
         assert result.status == "timeout"
         assert result.solve_calls == 0
         assert result.solver_stats["solve_calls"] == 0
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_warm_incumbent_at_zero_builds_no_solver(self, parallel,
+                                                     monkeypatch):
+        built = []
+        init = Solver.__init__
+
+        def counted(self, config=None):
+            built.append(config)
+            init(self, config)
+
+        monkeypatch.setattr(Solver, "__init__", counted)
+        # The warm model satisfies every clause with no objective
+        # literal true: already at the lower bound, nothing to probe.
+        cnf = build(3, [[1, 2], [-1, -3]])
+        result = minimize_sum(cnf, [3, -2], parallel=parallel,
+                              warm_model=[1, 2])
+        assert built == []
+        assert result.warm_started and result.proven_optimal
+        assert result.cost == 0 and result.solve_calls == 0
+        assert result.solver_stats == SolverStats().as_dict()
+        assert set(result.solver_stats.values()) == {0}
+        assert result.portfolio is None
 
 
 def brute_force_lexicographic(num_vars, clauses, objectives):
@@ -385,6 +410,7 @@ class TestCoreCheckpoint:
 
 class TestCoreStrategy:
     @needs_fork
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_parallel_matches_linear(self):
         rng = random.Random(5)
         for __ in range(10):

@@ -98,6 +98,7 @@ class TestMemberAgreement:
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestPortfolioAgreement:
     """The one-shot session solve returns exactly the serial verdict."""
 
@@ -165,6 +166,7 @@ def micro_scenario(length_km, speed_kmh, train_length_m, arrival_min,
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestEtcsScenarioAgreement:
     """Serial and portfolio verification agree on random ETCS scenarios,
     eager (one probe) and lazy (a probe per refinement round) alike."""

@@ -88,6 +88,7 @@ def _satisfies(model, clauses) -> bool:
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestRace:
     def test_sat_with_model(self):
         num_vars, clauses = SAT_CNF
@@ -124,6 +125,7 @@ class TestRace:
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestDeterminism:
     def test_sat_model_comes_from_the_primary_member(self):
         num_vars, clauses = SAT_CNF

@@ -109,6 +109,7 @@ class TestServiceDelivery:
         seqs = [r["seq"] for r in merged]
         assert seqs == sorted(seqs)
 
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_no_events_shipped_when_stream_disabled(self):
         num_vars, clauses = _php(4)
         service = SolverService(num_vars, clauses, processes=2)

@@ -239,6 +239,7 @@ class TestTaskDeadlineAcceptance:
         self._run(parallel=1)
 
     @needs_fork
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_persistent_service(self, slow_solves):
         self._run(parallel=2)
 
@@ -340,6 +341,7 @@ class TestCheckpointResume:
         assert sum(1 for lit in obj if lit in model) == resumed.cost
 
     @needs_fork
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_resume_after_sigkill_portfolio(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         ctx = multiprocessing.get_context("fork")
@@ -441,6 +443,7 @@ class TestBatchRecovery:
         assert report.values() == [(0, "sat", ""), (1, "sat", "")]
 
     @needs_fork
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_worker_killed_beside_an_idle_helper_is_seen(self):
         # The helper inherited the worker's pipe end; it must notice its
         # own pipe close and exit, or the worker's death goes unseen.

@@ -33,6 +33,7 @@ needs_fork = pytest.mark.skipif(
 
 @needs_fork
 class TestDifferentialAgreement:
+    @pytest.mark.usefixtures("helpers_from_first_probe")
     def test_25_scenarios_agree_across_all_paths(self):
         report = run_fuzz(count=25, seed=0, jobs=2, check_optimum=True)
         assert report.ok

@@ -43,6 +43,7 @@ def _verify_meta(result):
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestTaskDeterminism:
     """Same scenario + same `parallel` -> byte-identical decoded metadata."""
 
@@ -231,6 +232,7 @@ def _descent_cnf():
 
 
 @needs_fork
+@pytest.mark.usefixtures("helpers_from_first_probe")
 class TestDescentDegradation:
     def test_probe_timeout_keeps_best_known_bound(self):
         cnf, lits = _descent_cnf()
