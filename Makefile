@@ -33,8 +33,9 @@ test-gateway:
 # The running-example verification is UNSAT by design, so exit 1 is the
 # expected outcome; any other code (0 = unexpectedly SAT, >=2 = crash) is
 # a distinct, loud failure rather than being folded into the same test.
-# Verification runs lazy, eager (one probe on the session) and with a
-# DRAT proof, which must check.
+# Verification runs lazy, eager and with a DRAT proof, which must check;
+# each is the descent with no objective, and the proof run's descent
+# solves in process on one logging solver at every -j.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro generate --case running-example -j 2 \
 		--metrics smoke-metrics.json
@@ -64,7 +65,12 @@ smoke:
 	done
 
 # Differential fuzz: FUZZ_COUNT seeded scenarios through all three solver
-# paths; failing seeds are shrunk and written to fuzz-failures/.
+# paths; failing seeds are shrunk and written to fuzz-failures/.  The
+# paths share one loop (the descent) and differ only in encoding (eager
+# or lazy) and session (serial or service).  The service forks its
+# helpers only once a probe outlives the primary's load, so at seed 0
+# FUZZ_COUNT=10 races no helper; tier-1's
+# test_25_scenarios_agree_across_all_paths fuzzes the helper race.
 FUZZ_COUNT ?= 25
 FUZZ_SEED ?= 0
 fuzz:

@@ -17,20 +17,14 @@
 
 from repro.encoding.decode import Solution, TrainTrajectory
 from repro.encoding.encoder import EncodingOptions, EtcsEncoding
-from repro.encoding.lazy import (
-    LazyOutcome,
-    LazyRefiner,
-    solve_lazy_verification,
-)
+from repro.encoding.lazy import LazyRefiner
 from repro.encoding.validate import validate_solution
 
 __all__ = [
     "EtcsEncoding",
     "EncodingOptions",
-    "LazyOutcome",
     "LazyRefiner",
     "Solution",
     "TrainTrajectory",
-    "solve_lazy_verification",
     "validate_solution",
 ]

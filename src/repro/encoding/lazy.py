@@ -22,20 +22,18 @@ the exact clause semantics, a clean model satisfies the *whole* eager
 formula — lazy and eager define the same set of models, hence identical
 verdicts and objective optima.
 
-:class:`LazyRefiner` is the reusable check-and-refine step (the descent
-in :mod:`repro.opt.minimize` plugs it in as a ``refine`` callback);
-:func:`solve_lazy_verification` is the complete loop for the plain
-verification task.  It runs on the probe session of
-:func:`repro.sat.service.open_session` — one in-process incremental
-solver at ``parallel=1``; above it the solver service, whose in-process
-primary is that same solver raced by resident helper workers — which
-loads each round's new clauses as the next probe's delta and decides on
-its own how to degrade.
+:class:`LazyRefiner` is that check-and-refine step.  It has one loop:
+every task hands :meth:`LazyRefiner.refine` to the descent of
+:func:`repro.opt.minimize.minimize_sum` as its ``refine`` callback, and
+verification is that descent with an empty objective.  The descent's
+probe session (:func:`repro.sat.service.open_session`: one in-process
+incremental solver at ``parallel=1``; above it the solver service,
+whose in-process primary is that same solver raced by helper workers)
+loads each round's new clauses as the next probe's delta and decides
+on its own how to degrade.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.encoding.validate import (
     decode_positions,
@@ -45,9 +43,6 @@ from repro.encoding.validate import (
 )
 from repro.obs import events as obs_events
 from repro.obs import trace
-from repro.sat.service import open_session
-from repro.sat.solver import Solver
-from repro.sat.types import SolveResult, SolverConfig
 
 
 class LazyRefinementError(RuntimeError):
@@ -112,7 +107,7 @@ class LazyRefiner:
     """Check models against deferred families; add violated instances.
 
     One refiner accompanies one lazily-built :class:`EtcsEncoding` for
-    the whole solve (verification loop or optimisation descent).  It
+    the whole descent (verification's included).  It
     appends clauses to ``encoding.cnf`` — callers ship the tail of
     ``cnf.clauses`` to their solver(s) after every :meth:`refine` that
     returns non-zero (the solver service does this automatically, since
@@ -275,79 +270,3 @@ class LazyRefiner:
         for family, count in sorted(self.violations.items()):
             out[f"lazy.violations.{family}"] = count
         return out
-
-
-@dataclass
-class LazyOutcome:
-    """Answer of :func:`solve_lazy_verification`."""
-
-    satisfiable: bool
-    true_vars: set[int] | None
-    refiner: LazyRefiner
-    solver_stats: dict
-    solve_calls: int
-    #: The session's in-process solver — under a service, the
-    #: primary's (for restart-cadence telemetry).
-    solver: Solver | None = None
-    #: Portfolio/service summary when run with ``parallel > 1``.
-    portfolio: dict | None = field(default=None)
-
-
-def solve_lazy_verification(
-    encoding,
-    parallel: int = 1,
-    members=None,
-    strategy: str = DEFAULT_LAZY_STRATEGY,
-    profile: bool = False,
-) -> LazyOutcome:
-    """Run the solve→check→refine loop to a clean model or UNSAT.
-
-    ``parallel = 1`` keeps one incremental solver in process;
-    ``parallel > 1`` runs each round on the solver service (``members``
-    overrides its diversified configurations): member 0 solves in
-    process, as at ``parallel = 1``, while resident helper workers race
-    it to an UNSAT proof, and the service keeps going on member 0 alone
-    when it cannot fork or loses every helper.  Each round's new clauses
-    are the next probe's delta.  ``strategy`` selects the
-    refiner's clause-selection cell (see :class:`LazyRefiner`).
-    ``profile`` turns on the hot-path phase profiler in every solver the
-    loop creates; the resulting ``profile.*`` counters ride in
-    ``solver_stats``.
-    """
-    refiner = LazyRefiner(encoding, strategy=strategy)
-    cnf = encoding.cnf
-    session = open_session(
-        cnf.num_vars, cnf.clauses, parallel, members,
-        SolverConfig(profile=True) if profile else None,
-    )
-    try:
-        calls = 0
-        while True:
-            calls += 1
-            with trace.span("lazy.solve", call=calls):
-                outcome = session.probe()
-            if outcome.verdict is SolveResult.UNSAT:
-                true_vars = None
-                break
-            if outcome.verdict is not SolveResult.SAT:
-                raise RuntimeError(
-                    f"lazy verification solve returned {outcome.verdict!r} "
-                    "without a deadline in play"
-                )
-            model = outcome.model or []
-            if refiner.refine(model) == 0:
-                true_vars = {lit for lit in model if lit > 0}
-                break
-    finally:
-        session.close()
-    # Read after close: a service folds in the helper replies that were
-    # still in flight when the last probe ended.
-    return LazyOutcome(
-        satisfiable=true_vars is not None,
-        true_vars=true_vars,
-        refiner=refiner,
-        solver_stats=session.solver_stats(),
-        solve_calls=calls,
-        solver=session.solver,
-        portfolio=session.summary(),
-    )

@@ -125,6 +125,7 @@ def _result_response(task: str, result: TaskResult) -> dict:
         "solve_calls": result.solve_calls,
         "runtime_s": result.runtime_s,
         "warm_started": result.warm_started,
+        "proof_checked": result.proof_checked,
         "model": list(result.model),
         "fingerprint": result.fingerprint,
     }
@@ -138,7 +139,8 @@ def execute(
     """Run one request and return its JSON-safe response.
 
     ``warm`` is an optional ``{"model": [...], "fingerprint": {...}}``
-    hint from the cache (a delta-close result).  ``budget_s`` caps the
+    hint from the cache (a delta-close result); every task takes it as
+    ``warm_model`` and ``warm_fingerprint``.  ``budget_s`` caps the
     optimisation wall clock; verification runs are not preemptible —
     the server enforces their deadline at admission and around the
     worker instead.
@@ -186,18 +188,12 @@ def execute(
             budget_s if timeout_s is None else min(timeout_s, budget_s)
         )
     if task == "verify":
-        result = verify_schedule(
-            net, schedule, r_t, **params,
-            warm_hints=warm_model, warm_fingerprint=warm_fp,
-        )
-    elif task == "generate":
-        result = generate_layout(
-            net, schedule, r_t, **params, timeout_s=timeout_s,
-            warm_model=warm_model, warm_fingerprint=warm_fp,
-        )
+        run = verify_schedule
     else:
-        result = optimize_schedule(
-            net, schedule, r_t, **params, timeout_s=timeout_s,
-            warm_model=warm_model, warm_fingerprint=warm_fp,
-        )
+        params["timeout_s"] = timeout_s
+        run = generate_layout if task == "generate" else optimize_schedule
+    result = run(
+        net, schedule, r_t, **params,
+        warm_model=warm_model, warm_fingerprint=warm_fp,
+    )
     return _result_response(task, result)

@@ -17,6 +17,12 @@ makespan first and borders second) runs as *stages* on the same
 session: each stage's optimum is frozen with one unit clause and the
 next stage descends from the previous stage's best model.
 
+With an empty objective the descent is a feasibility check, and that is
+how verification (:mod:`repro.tasks.verification`) solves: its first
+probe and that probe's lazy refinement loop are the whole solve, and a
+warm model that passes the descent's checks ends it with no probe.  So
+the paper's three tasks run on one loop.
+
 One descent loop serves every ``parallel`` setting, on the probe session
 that :func:`repro.sat.service.open_session` starts at the descent's
 first probe: one in-process incremental solver
@@ -194,6 +200,11 @@ def minimize_sum(
     True the reported cost is the exact minimum.  ``strategy`` is
     ``"linear"``, ``"binary"`` or ``"core"`` (see the module docstring).
 
+    An empty ``objective_lits`` makes the descent a feasibility check
+    (verification's solve): the first clean model has cost 0 and is
+    optimal, an UNSAT first probe proves the formula infeasible, and a
+    warm model that passes its checks ends the descent with no probe.
+
     ``then`` lists the later objectives of a lexicographic problem:
     after each stage its optimum is frozen with one unit clause, and the
     next objective is minimised on the same session, from the previous
@@ -214,7 +225,10 @@ def minimize_sum(
     outlives member 0's initial load, that can end a probe early with
     an UNSAT proof; the service keeps probing on member 0 alone when it
     cannot fork or loses every helper.  ``parallel=1`` is exactly the
-    serial incremental path (``portfolio`` is then None).  Either
+    serial incremental path (``portfolio`` is then None); there
+    ``portfolio_members`` gives member 0 alone, whose
+    ``solver_factory`` builds the session's solver (how a proof run
+    logs DRAT).  Either
     session opens at the descent's first probe and loads the clauses as
     they stand then, in order: a descent that ends without a probe (a
     warm or restored incumbent already at its lower bound, a budget

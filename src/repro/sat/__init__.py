@@ -10,13 +10,14 @@ Public entry points:
 * :class:`Solver` — the CDCL solver (add clauses, solve under assumptions,
   read back models and unsat cores).
 * :class:`SolveResult` — SAT / UNSAT / UNKNOWN verdicts.
-* :func:`open_session` — the probe session of a descent or lazy
-  refinement loop: :class:`SerialSession` (one in-process incremental
-  solver) at ``parallel=1``, the resident :class:`SolverService` above
-  it, which falls back to a serial session when it cannot fork or loses
-  its last worker.
-* :func:`solve_portfolio` — one probe on a fresh session (eager
-  verification), optionally logging a DRAT proof in process.
+* :func:`open_session` — the probe session of a descent (every task's,
+  verification's included): :class:`SerialSession` (one in-process
+  incremental solver, built by the first member's factory when members
+  are given, as a proof run's logging member is) at ``parallel=1``, the
+  resident :class:`SolverService` above it, which falls back to its
+  primary when it cannot fork or loses its last helper.
+* :func:`solve_portfolio` — one probe on a fresh session.  No task
+  calls it; it stays while the benchmark wraps it by name.
 * :func:`parse_dimacs` / :func:`write_dimacs` — DIMACS CNF interchange.
 
 The solver runs on one engine, the flat-array kernel, which also logs

@@ -1,19 +1,23 @@
-"""Probe sessions for bound-probing descents and refinement loops.
+"""Probe sessions for the descent of :mod:`repro.opt`.
 
-The optimisation descents in :mod:`repro.opt` and the lazy verification
-loop in :mod:`repro.encoding.lazy` solve one growing clause set many
-times under changing assumptions; eager verification solves its formula
-once, as one probe on a fresh session (:func:`solve_portfolio`).  All
-of them run on a *probe session* with one contract: the clause list is
-held by reference, clauses appended since the last probe are loaded as
-the next probe's delta, and ``probe(assumptions, timeout_s)`` answers
-with a :class:`ProbeOutcome`;
-``summary()``, ``solver_stats()`` and ``close()`` complete it.
-:func:`open_session` picks the session for a ``parallel`` setting:
+Every task solves through one descent
+(:func:`repro.opt.minimize.minimize_sum`): generation and optimization
+probe one growing clause set many times under changing assumptions, and
+verification is the same descent with an empty objective, whose first
+probe and lazy refinement rounds are its whole solve.  The descent runs
+on a *probe session* with one contract: the clause list is held by
+reference, clauses appended since the last probe are loaded as the
+next probe's delta, and ``probe(assumptions, timeout_s)`` answers with
+a :class:`ProbeOutcome`; ``summary()``, ``solver_stats()`` and
+``close()`` complete it.  :func:`open_session` picks the session for a
+``parallel`` setting:
 
 * :class:`SerialSession` (``parallel <= 1``) keeps one incremental
   :class:`~repro.sat.Solver` in process — the serial search, with its
-  learned clauses, activities and phases kept across probes.
+  learned clauses, activities and phases kept across probes.  Given a
+  member list, it solves with member 0's config and
+  ``solver_factory``: that is how a proof run attaches its DRAT logger
+  to the solver before the clauses load.
 * :class:`SolverService` (``parallel > 1``) runs member 0 of its
   :class:`~repro.sat.portfolio.PortfolioMember` list, the *primary*, in
   process as a :class:`SerialSession` — exactly the serial search — and
@@ -95,7 +99,6 @@ from repro.sat.portfolio import (
     fork_available,
     member_config_dict,
 )
-from repro.sat.proof import ProofLogger
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult, SolverConfig
 from repro.sat.wire import pack_clauses, unpack_clauses
@@ -303,7 +306,8 @@ class SerialSession:
     incremental search.  ``config`` is copied, because every probe
     retunes the copy's wall deadline.  ``solver_factory`` builds the
     solver (default: the plain :class:`Solver`); :class:`SolverService`
-    passes its primary member's.
+    passes its primary member's, and :func:`open_session` a given
+    member 0's.
     """
 
     def __init__(
@@ -1010,15 +1014,23 @@ def open_session(
     members: list[PortfolioMember] | None = None,
     base: SolverConfig | None = None,
 ) -> SerialSession | SolverService:
-    """Start the probe session of one descent or refinement loop.
+    """Start the probe session of one descent.
 
-    ``parallel <= 1`` gives a :class:`SerialSession` solving with
-    ``base`` (default :class:`SolverConfig`); above that a
-    :class:`SolverService` whose primary solves with ``members[0]`` and
-    whose helpers race it with the rest (default: ``parallel`` members
-    diversified from ``base``).
+    ``parallel <= 1`` gives a :class:`SerialSession`; it solves with
+    ``members[0]`` (its config and its ``solver_factory``) when
+    ``members`` is given, else with ``base`` (default
+    :class:`SolverConfig`).  A proof run attaches its DRAT logger this
+    way: one member whose factory attaches it before the clauses load.
+    Above that a :class:`SolverService` whose primary solves with
+    ``members[0]`` and whose helpers race it with the rest (default:
+    ``parallel`` members diversified from ``base``).
     """
     if parallel <= 1:
+        if members:
+            return SerialSession(
+                num_vars, clauses, members[0].config,
+                solver_factory=members[0].solver_factory,
+            ).start()
         return SerialSession(num_vars, clauses, base).start()
     return SolverService(
         num_vars, clauses,
@@ -1032,31 +1044,22 @@ def solve_portfolio(
     clauses: list[list[int]],
     parallel: int = 1,
     base: SolverConfig | None = None,
-    proof: ProofLogger | None = None,
 ) -> tuple[ProbeOutcome, SerialSession | SolverService]:
     """Solve ``clauses`` once: open a session, probe it, close it.
 
     ``parallel`` and ``base`` pick the session as for
-    :func:`open_session`.  With a ``proof`` logger the session is a
-    :class:`SerialSession` at every ``parallel``: the logger is attached
-    to its solver before the clauses load (a load-time conflict logs the
-    empty clause), and a helper's UNSAT would carry no log.
+    :func:`open_session`.  No task calls this any more: verification
+    solves through :func:`repro.opt.minimize_sum` with an empty
+    objective.  It stays only because perfbench wraps it by name
+    (``pool.race`` in ``perfbench/spans.py``) and CI's traced smokes
+    fail when a wrapped name is gone; the perfbench change that drops
+    that wrap deletes it.
 
     Returns the probe's outcome and the closed session, whose
     ``summary()``, ``solver_stats()`` and ``solver`` include the helper
     replies read at close.
     """
-    if proof is None:
-        session = open_session(num_vars, clauses, parallel, base=base)
-    else:
-        def logged(config: SolverConfig) -> Solver:
-            solver = Solver(config)
-            solver.attach_proof(proof)
-            return solver
-
-        session = SerialSession(
-            num_vars, clauses, base, solver_factory=logged
-        ).start()
+    session = open_session(num_vars, clauses, parallel, base=base)
     try:
         outcome = session.probe()
     finally:

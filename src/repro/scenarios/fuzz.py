@@ -1,11 +1,22 @@
 """Randomized differential fuzz harness over solver paths.
 
-Every scenario the generator mints is solved through three independent
-pipelines that must agree bit-for-bit on the verdict:
+Every scenario the generator mints is verified along three paths that
+must agree bit-for-bit on the verdict:
 
 * ``eager``   — serial solve of the full eager encoding;
 * ``lazy``    — serial CEGAR loop over the lazily-deferred families;
 * ``service`` — CEGAR loop on the resident incremental solver service.
+
+The three share one loop, the descent of
+:func:`repro.opt.minimize.minimize_sum` with verification's empty
+objective, and differ only in encoding (eager or lazy) and session
+(serial or service).  The service forks its helpers only once a probe
+outlives the primary's load, and these scenarios answer sooner:
+``make fuzz FUZZ_COUNT=10`` at seed 0 forks no helper, so the fuzz
+smoke checks the service's primary alone.  Only the tier-1 test
+``test_25_scenarios_agree_across_all_paths``, which forks the helpers
+at the first probe (the ``helpers_from_first_probe`` fixture), fuzzes
+the helper race.
 
 Optionally the generation task's optimum (minimum added VSS borders) is
 cross-checked between the eager and lazy descents — the lazy refinement

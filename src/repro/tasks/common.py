@@ -9,7 +9,6 @@ from repro.network.discretize import DiscreteNetwork
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.opt.result import STATUS_TIMEOUT
-from repro.sat.solver import Solver
 from repro.trains.schedule import Schedule
 
 
@@ -66,19 +65,6 @@ def record_encoding(reg: MetricsRegistry, encoding: EtcsEncoding) -> None:
     reg.set("encoder.clauses", encoding.cnf.num_clauses)
     reg.set("encoder.t_max", encoding.t_max)
     reg.set("encoder.trains", len(encoding.runs))
-
-
-def record_solver(
-    reg: MetricsRegistry, solver: Solver, stats: dict | None = None
-) -> None:
-    """Absorb a solver's counters — or ``stats``, when the counters of a
-    session that raced it are summed elsewhere — and its restart
-    cadence."""
-    reg.absorb_solver_stats(
-        solver.stats.as_dict() if stats is None else stats
-    )
-    for delta in solver.stats.restart_conflict_deltas:
-        reg.observe("solver.restart_conflicts", delta)
 
 
 def record_session(reg: MetricsRegistry, summary: dict | None) -> None:

@@ -48,9 +48,11 @@ class TaskResult:
     Gateway detail (see :mod:`repro.gateway`):
         model: the accepted model's true literals, sorted ascending
             (empty when UNSAT/infeasible) — the payload a result cache
-            replays as warm hints on delta-close instances.
-        warm_started: the task reused a cached model (witness replay on
-            verification, descent seeding on generation/optimization).
+            offers delta-close instances as their ``warm_model``.
+        warm_started: the task's descent started from the cached model
+            passed as ``warm_model``, which re-validated against this
+            instance; a verification then answers SAT with no solver
+            call.
         fingerprint: the instance's descent fingerprint
             (:func:`repro.opt.checkpoint.descent_fingerprint`), used by
             the gateway cache to validate warm-starts.

@@ -22,11 +22,7 @@ import pytest
 
 from repro.casestudies.complex_layout import complex_layout
 from repro.casestudies.running_example import running_example
-from repro.encoding.lazy import (
-    DESCENT_LAZY_STRATEGY,
-    LazyRefiner,
-    solve_lazy_verification,
-)
+from repro.encoding.lazy import DESCENT_LAZY_STRATEGY, LazyRefiner
 from repro.logic import CNF, VarPool
 from repro.logic.totalizer import Totalizer
 from repro.network.sections import VSSLayout
@@ -41,7 +37,7 @@ from repro.sat.portfolio import (
 from repro.sat.service import SerialSession, ServiceError, SolverService
 from repro.sat.solver import Solver
 from repro.sat.types import SolveResult
-from repro.tasks import generate_layout, optimize_schedule
+from repro.tasks import generate_layout, optimize_schedule, verify_schedule
 from repro.tasks.common import build_encoding
 
 needs_fork = pytest.mark.skipif(
@@ -178,6 +174,15 @@ def _lazy_encoding(study):
                               lazy=True)
     encoding.pin_layout(VSSLayout.pure_ttd(net))
     return encoding
+
+
+def _lazy_verification(study, parallel: int = 1):
+    """Lazy verification's descent (no objective) with its refiner."""
+    encoding = _lazy_encoding(study)
+    refiner = LazyRefiner(encoding)
+    result = minimize_sum(encoding.cnf, [], parallel=parallel,
+                          refine=refiner.refine)
+    return result, refiner
 
 
 # --- learned-clause exchange on the core solver ----------------------------
@@ -503,15 +508,13 @@ class TestDescentCrashHandling:
         assert result.solver_stats["solve_calls"] == result.solve_calls
 
     def test_lazy_fallback_when_service_cannot_start(self, no_fork):
-        serial = solve_lazy_verification(
-            _lazy_encoding(running_example())
+        serial, serial_refiner = _lazy_verification(running_example())
+        fallback, fallback_refiner = _lazy_verification(
+            running_example(), parallel=2
         )
-        fallback = solve_lazy_verification(
-            _lazy_encoding(running_example()), parallel=2
-        )
-        assert fallback.satisfiable == serial.satisfiable
+        assert fallback.feasible == serial.feasible
         assert fallback.solve_calls == serial.solve_calls
-        assert fallback.refiner.rounds == serial.refiner.rounds
+        assert fallback_refiner.rounds == serial_refiner.rounds
         assert "injected" in fallback.portfolio["service"]["fallback"]
 
 
@@ -655,14 +658,47 @@ class TestTrajectoryParity:
         (complex_layout, 8297),
     ])
     def test_lazy_verification(self, study, clauses):
+        case = study()
+        net = case.discretize()
         outcomes = []
         for parallel in (1, 2):
-            encoding = _lazy_encoding(study())
-            outcome = solve_lazy_verification(encoding, parallel=parallel)
-            outcomes.append((outcome.satisfiable, outcome.solve_calls,
-                             outcome.refiner.rounds,
-                             encoding.cnf.num_clauses))
+            result = verify_schedule(net, case.schedule, case.r_t_min,
+                                     parallel=parallel)
+            outcomes.append((result.satisfiable, result.solve_calls,
+                             result.metrics["lazy.rounds"],
+                             result.clauses))
         assert outcomes[0] == outcomes[1] == (False, 2, 1, clauses)
+
+    @pytest.mark.parametrize("study, with_proof, counts", [
+        (running_example, False, (1, 12, 850, 13284)),
+        (complex_layout, False, (1, 12, 2187, 26775)),
+        (running_example, True, (1, 12, 850, 13284)),
+    ])
+    def test_eager_verification(self, study, with_proof, counts):
+        """Eager and proof runs: one probe, the serial counts at
+        ``parallel=1``; a proof run solves in process at any
+        ``parallel``, so its counts hold at ``parallel=2`` too."""
+        case = study()
+        net = case.discretize()
+        serial, raced = (
+            verify_schedule(net, case.schedule, case.r_t_min, lazy=False,
+                            with_proof=with_proof, parallel=parallel)
+            for parallel in (1, 2)
+        )
+        for result in (serial, raced):
+            assert not result.satisfiable
+            assert result.proof_checked is (True if with_proof else None)
+            assert result.solve_calls == counts[0]
+            assert result.clauses == counts[3]
+        stats = serial.solver_stats
+        assert (stats["conflicts"], stats["propagations"]) == counts[1:3]
+        assert serial.portfolio is None
+        if with_proof:
+            assert raced.portfolio is None
+            for key in ("conflicts", "propagations", "decisions"):
+                assert raced.solver_stats[key] == serial.solver_stats[key]
+        else:
+            assert raced.portfolio["calls"] == 1
 
 
 # --- trace round-trip: probes ship O(delta), not O(|CNF|) ------------------

@@ -210,24 +210,28 @@ class TestLazyFaults:
         # alone, which loads the round's refinement clauses as usual —
         # with no fault hook that could kill the parent too — and still
         # concludes UNSAT.
-        from repro.encoding.lazy import solve_lazy_verification
+        from repro.encoding.lazy import LazyRefiner
         from repro.network.sections import VSSLayout
+        from repro.opt import minimize_sum
         from repro.sat.portfolio import diversified_members
         from repro.tasks.common import build_encoding
 
         net, schedule, r_t = self._running_example()
         encoding = build_encoding(net, schedule, r_t, None, lazy=True)
         encoding.pin_layout(VSSLayout.pure_ttd(net))
+        refiner = LazyRefiner(encoding)
         with injected(FaultPlan(kill_member="neg-phase", kill_probe=1)):
-            outcome = solve_lazy_verification(
-                encoding, parallel=2, members=diversified_members(2)
+            result = minimize_sum(
+                encoding.cnf, [], parallel=2,
+                portfolio_members=diversified_members(2),
+                refine=refiner.refine,
             )
-        assert not outcome.satisfiable
-        assert outcome.refiner.rounds == 1
-        assert outcome.solve_calls == 2
+        assert not result.feasible
+        assert refiner.rounds == 1
+        assert result.solve_calls == 2
         # The primary answered over the refined clause set: the clean
         # run's UNSAT, not the relaxation's SAT.
-        service = outcome.portfolio["service"]
+        service = result.portfolio["service"]
         assert "died" in service["fallback"]
         assert service["counters"]["service.worker_crashes"] == 1
 

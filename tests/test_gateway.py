@@ -281,6 +281,20 @@ class TestGatewayEndToEnd:
         assert replay["warm_started"]
         assert replay["solve_calls"] == 0
 
+    def test_verify_answers_carry_proof_checked(self, gateway):
+        # The worker RUP-checks a proof request's UNSAT: its answer, and
+        # the cached copy, say so; a plain verify answers null.
+        payload = _inline_payload(task="verify",
+                                  params={"with_proof": True})
+        proof = gateway.request(payload)
+        assert proof["ok"] and proof["satisfiable"] is False
+        assert proof["proof_checked"] is True
+        cached = gateway.request(payload)
+        assert cached["cached"] and cached["proof_checked"] is True
+        plain = gateway.request(_inline_payload(task="verify"))
+        assert plain["ok"] and plain["satisfiable"] is False
+        assert plain["proof_checked"] is None
+
     def test_deadline_cut_answer_is_not_cached(self, gateway):
         payload = {"task": "generate", "case": "nordlandsbanen"}
         cut = gateway.request(dict(payload, deadline_s=0.05))

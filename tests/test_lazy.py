@@ -13,10 +13,11 @@ import pytest
 
 from repro.casestudies import all_case_studies
 from repro.encoding.encoder import LAZY_FAMILIES, EncodingOptions
-from repro.encoding.lazy import LazyRefiner, solve_lazy_verification
+from repro.encoding.lazy import LazyRefiner
 from repro.explicit import explicit_verify
 from repro.network.paths import interior_segments_of_paths
 from repro.network.sections import VSSLayout
+from repro.opt import minimize_sum
 from repro.sat.portfolio import fork_available
 from repro.scenarios import ScenarioSpec, generate_scenario, with_headroom
 from repro.scenarios.fuzz import fuzz_scenario
@@ -168,13 +169,14 @@ class TestLazyVerificationLoop:
     ):
         """One train can never violate a cross-train constraint."""
         _, lazy = _encodings(micro_net, single_train_schedule, 0.5)
-        outcome = solve_lazy_verification(lazy)
-        assert outcome.satisfiable
-        assert outcome.refiner.rounds == 1
-        assert outcome.refiner.clauses_added == 0
-        stats = outcome.refiner.stats()
+        refiner = LazyRefiner(lazy)
+        result = minimize_sum(lazy.cnf, [], refine=refiner.refine)
+        assert result.feasible
+        assert refiner.rounds == 1
+        assert refiner.clauses_added == 0
+        stats = refiner.stats()
         assert stats["lazy.constraints_added"] == 0
-        assert outcome.refiner.clauses_added <= sum(
+        assert refiner.clauses_added <= sum(
             lazy.deferred_eager_count().values()
         )
 
@@ -184,11 +186,12 @@ class TestLazyVerificationLoop:
         eager_result = verify_schedule(
             micro_net, crossing_schedule, 0.5, lazy=False
         )
-        outcome = solve_lazy_verification(
-            _encodings(micro_net, crossing_schedule, 0.5)[1]
+        lazy_result = verify_schedule(
+            micro_net, crossing_schedule, 0.5, lazy=True
         )
         assert not eager_result.satisfiable
-        assert not outcome.satisfiable
+        assert not lazy_result.satisfiable
+        assert lazy_result.metrics["lazy.rounds"] >= 1
 
     def test_sat_needs_refinement_on_loop(self, loop_net,
                                           crossing_schedule):
@@ -196,12 +199,13 @@ class TestLazyVerificationLoop:
         first model typically violates separation — refinement adds the
         violated instances and the final model is validator-clean."""
         _, lazy = _encodings(loop_net, crossing_schedule, 0.5)
-        outcome = solve_lazy_verification(lazy)
-        assert outcome.satisfiable
-        assert outcome.refiner.rounds >= 1
+        refiner = LazyRefiner(lazy)
+        result = minimize_sum(lazy.cnf, [], refine=refiner.refine)
+        assert result.feasible
+        assert refiner.rounds >= 1
         # Only a strict subset of the eager cross-train clauses was
         # needed — the whole point of the exercise.
-        assert outcome.refiner.clauses_added < sum(
+        assert refiner.clauses_added < sum(
             lazy.deferred_eager_count().values()
         )
 

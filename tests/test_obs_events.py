@@ -192,16 +192,18 @@ class TestInstrumentationPoints:
         assert kinds == ["header", "improved", "lower"]
 
     def test_lazy_round_events(self, micro_net, single_train_schedule):
-        from repro.encoding.lazy import solve_lazy_verification
+        from repro.encoding.lazy import LazyRefiner
+        from repro.opt.minimize import minimize_sum
         from repro.tasks.common import build_encoding
 
         log = events.install(events.EventLog())
         encoding = build_encoding(
             micro_net, single_train_schedule, 1.0, None, lazy=True
         )
-        outcome = solve_lazy_verification(encoding)
+        refiner = LazyRefiner(encoding)
+        minimize_sum(encoding.cnf, [], refine=refiner.refine)
         rounds = [r for r in log.export() if r["kind"] == "lazy.round"]
-        assert len(rounds) == outcome.refiner.rounds
+        assert len(rounds) == refiner.rounds
 
     def test_descent_improvement_events(self):
         from repro.logic import CNF, VarPool

@@ -220,15 +220,14 @@ class TestForkMerge:
 
     def test_lazy_verification_profiles_when_asked(self, micro_net,
                                                   single_train_schedule):
-        from repro.encoding.lazy import solve_lazy_verification
-        from repro.tasks.common import build_encoding
+        from repro.tasks.verification import verify_schedule
 
-        encoding = build_encoding(
-            micro_net, single_train_schedule, 1.0, None, lazy=True
+        result = verify_schedule(
+            micro_net, single_train_schedule, 1.0, lazy=True, profile=True
         )
-        outcome = solve_lazy_verification(encoding, profile=True)
+        assert result.metrics["lazy.rounds"] >= 1
         assert any(
-            key.startswith("profile.") for key in outcome.solver_stats
+            key.startswith("profile.") for key in result.solver_stats
         )
 
     def test_verify_schedule_profile_flag(self, micro_net,

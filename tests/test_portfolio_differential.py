@@ -25,11 +25,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.network.builder import NetworkBuilder
 from repro.network.discretize import DiscreteNetwork
 from repro.sat import (
+    PortfolioMember,
     ProofLogger,
     Solver,
     SolveResult,
     check_rup_proof,
     diversified_members,
+    open_session,
     solve_portfolio,
 )
 from repro.sat.portfolio import fork_available
@@ -42,6 +44,17 @@ needs_fork = pytest.mark.skipif(
 )
 
 MEMBERS = diversified_members(8)
+
+
+def logged_member(logger):
+    """Member 0's config, on a solver that logs DRAT to ``logger``."""
+    def factory(config):
+        solver = Solver(config)
+        solver.attach_proof(logger)
+        return solver
+
+    return PortfolioMember("proof", MEMBERS[0].config,
+                           solver_factory=factory)
 
 
 def clauses_strategy(max_vars=5, max_clauses=18, max_len=3):
@@ -121,10 +134,16 @@ class TestPortfolioAgreement:
     def test_unsat_races_ship_checkable_drat_proofs(self, clauses):
         # Short clauses over few variables skew UNSAT, which is the case
         # this test is after; SAT examples just assert the verdict.
+        # A proof run's session: one logged member at parallel=1.
         logger = ProofLogger()
-        raced, __ = solve_portfolio(4, clauses, parallel=2, proof=logger)
-        assert (raced.verdict is SolveResult.SAT) == brute_force(4, clauses)
-        if raced.verdict is SolveResult.UNSAT:
+        session = open_session(4, clauses, 1,
+                               members=[logged_member(logger)])
+        try:
+            outcome = session.probe()
+        finally:
+            session.close()
+        assert (outcome.verdict is SolveResult.SAT) == brute_force(4, clauses)
+        if outcome.verdict is SolveResult.UNSAT:
             assert check_rup_proof(4, clauses, logger.steps)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sat import (
+    PortfolioMember,
     ProofLogger,
     SerialSession,
     Solver,
@@ -13,6 +14,7 @@ from repro.sat import (
     SolverConfig,
     check_rup_proof,
     diversified_members,
+    open_session,
     solve_portfolio,
 )
 from repro.sat.portfolio import fork_available
@@ -29,6 +31,16 @@ UNSAT_CNF = (2, [[1, 2], [1, -2], [-1, 2], [-1, -2]])
 
 def crashing_factory(config):
     raise RuntimeError("injected portfolio worker crash")
+
+
+def logged_member(logger):
+    """A member whose solver logs DRAT to ``logger``."""
+    def factory(config):
+        solver = Solver(config)
+        solver.attach_proof(logger)
+        return solver
+
+    return PortfolioMember("proof", SolverConfig(), solver_factory=factory)
 
 
 class TestDiversifiedMembers:
@@ -77,6 +89,26 @@ class TestSerialDegradation:
         assert outcome.model == solver.model()
         assert session.summary() is None
 
+    def test_parallel_one_solves_with_member_zero(self):
+        built = []
+
+        def factory(config):
+            built.append(config)
+            return Solver(config)
+
+        config = SolverConfig(random_seed=7, var_decay=0.9)
+        members = [PortfolioMember("only", config, solver_factory=factory)]
+        num_vars, clauses = SAT_CNF
+        session = open_session(num_vars, clauses, 1, members=members)
+        try:
+            assert session.probe().verdict is SolveResult.SAT
+        finally:
+            session.close()
+        assert isinstance(session, SerialSession)
+        assert built == [config]
+        assert session.solver.config.random_seed == 7
+        assert session.solver.config.var_decay == 0.9
+
 
 def _satisfies(model, clauses) -> bool:
     true_set = {lit for lit in model if lit > 0}
@@ -103,12 +135,17 @@ class TestRace:
         assert outcome.model is None
 
     def test_proof_ships_on_unsat(self):
-        # A proof is logged by a solver in this process at any
-        # ``parallel``: no helper is forked.
+        # A proof is logged by a solver in this process: a proof run
+        # opens its session at ``parallel=1`` with one logged member,
+        # so no helper is forked.
         num_vars, clauses = UNSAT_CNF
         logger = ProofLogger()
-        outcome, session = solve_portfolio(num_vars, clauses, parallel=2,
-                                           proof=logger)
+        session = open_session(num_vars, clauses, 1,
+                               members=[logged_member(logger)])
+        try:
+            outcome = session.probe()
+        finally:
+            session.close()
         assert outcome.verdict is SolveResult.UNSAT
         assert isinstance(session, SerialSession)
         assert check_rup_proof(num_vars, clauses, logger.steps)
