@@ -35,7 +35,9 @@ test-gateway:
 # a distinct, loud failure rather than being folded into the same test.
 # Verification runs lazy, eager and with a DRAT proof, which must check;
 # each is the descent with no objective, and the proof run's descent
-# solves in process on one logging solver at every -j.
+# solves in process on one logging solver at every -j.  Last, Complex
+# Layout's verification runs at -j 2 and is explained: the diagnosis
+# probes a serial session and must name train 5.
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro generate --case running-example -j 2 \
 		--metrics smoke-metrics.json
@@ -63,6 +65,18 @@ smoke:
 		fi; \
 		echo "smoke: verify -j 2 $$flags: UNSAT as expected"; \
 	done
+	@out=$$(PYTHONPATH=src $(PYTHON) -m repro verify \
+		--case complex-layout -j 2 --explain); \
+	rc=$$?; \
+	echo "$$out"; \
+	if [ $$rc -ne 1 ]; then \
+		echo "smoke: verify -j 2 --explain: exit $$rc" >&2; \
+		exit 1; \
+	elif ! echo "$$out" | grep -q "train(s) 5"; then \
+		echo "smoke: verify -j 2 --explain: train 5 not named" >&2; \
+		exit 1; \
+	fi; \
+	echo "smoke: verify -j 2 --explain: names train 5"
 
 # Differential fuzz: FUZZ_COUNT seeded scenarios through all three solver
 # paths; failing seeds are shrunk and written to fuzz-failures/.  The

@@ -764,6 +764,7 @@ def _run_command(args) -> int:
             from repro.tasks import diagnose_infeasibility
 
             diagnosis = diagnose_infeasibility(net, schedule, r_t)
+            result.metrics.update(diagnosis.metrics)
             if diagnosis.structural:
                 print(
                     "diagnosis: structural — the layout cannot host these "

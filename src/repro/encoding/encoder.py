@@ -553,14 +553,19 @@ class EtcsEncoding:
     # Task-specific additions
     # ------------------------------------------------------------------
 
+    def layout_literals(self, layout: VSSLayout) -> list[int]:
+        """Every vertex's border literal under ``layout``: verification
+        pins them as units, the layout explorer probes them."""
+        border = self.reg.border
+        return [
+            border(vertex) if layout.is_border(vertex) else -border(vertex)
+            for vertex in range(self.net.num_vertices)
+        ]
+
     def pin_layout(self, layout: VSSLayout) -> None:
         """Fix every border variable to the given layout (verification)."""
-        for vertex in range(self.net.num_vertices):
-            var = self.reg.border(vertex)
-            if layout.is_border(vertex):
-                self.cnf.add_unit(var)
-            else:
-                self.cnf.add_unit(-var)
+        for lit in self.layout_literals(layout):
+            self.cnf.add_unit(lit)
 
     def pin_waypoints(self, waypoints: list[tuple[str, str, int]]) -> None:
         """Pin (train, station, step) triples — the paper's schedule

@@ -19,7 +19,7 @@ PREFIXES = frozenset({
     "checkpoint",   # opt/checkpoint.py — descent checkpoint I/O
     "deadline",     # deadline governance (solver, descents, tasks)
     "descent",      # opt/minimize.py — descent counters, every strategy
-    "diagnosis",    # tasks/verification.py — unsat-core diagnosis
+    "diagnosis",    # tasks/diagnosis.py — unsat-core diagnosis
     "encoder",      # encoding/encoder.py — encoding size counters
     "events",       # obs/events.py — event-stream bookkeeping
     "fuzz",         # scenarios/fuzz.py — fuzz-harness events

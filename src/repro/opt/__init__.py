@@ -26,6 +26,7 @@ from repro.opt.result import (
     STATUS_OPTIMAL,
     STATUS_RESUMED,
     STATUS_TIMEOUT,
+    STATUS_UNKNOWN,
     DescentResult,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "STATUS_OPTIMAL",
     "STATUS_RESUMED",
     "STATUS_TIMEOUT",
+    "STATUS_UNKNOWN",
     "load_checkpoint",
     "minimize_sum",
     "minimize_weighted_sum",

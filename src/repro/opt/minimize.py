@@ -70,6 +70,7 @@ from repro.opt.result import (
     STATUS_OPTIMAL,
     STATUS_RESUMED,
     STATUS_TIMEOUT,
+    STATUS_UNKNOWN,
     DescentResult,
 )
 from repro.sat.portfolio import PortfolioMember
@@ -495,6 +496,7 @@ class _Descent:
                 first = self._checked_probe()
             if first.verdict is not SolveResult.SAT:
                 return _Stage(feasible=False,
+                              proven=first.verdict is SolveResult.UNSAT,
                               timed_out=self._timed_out_on(first))
             stage.model = first.model or []
             stage.cost = self._improve(cost_of, stage.model, harvest=False)
@@ -513,16 +515,19 @@ class _Descent:
             status = _descent_status(stage.proven, stage.timed_out,
                                      state is not None, self.improved)
         else:
-            # An UNSAT first solve is a *proven* conclusion; only a
-            # timed-out one leaves feasibility genuinely open.
-            status = STATUS_TIMEOUT if stage.timed_out else STATUS_OPTIMAL
+            # Only an UNSAT first probe proves the formula infeasible; a
+            # probe that timed out or answered UNKNOWN leaves it open.
+            status = (
+                STATUS_OPTIMAL if stage.proven
+                else STATUS_TIMEOUT if stage.timed_out else STATUS_UNKNOWN
+            )
         if self.ckpt is not None:
             self.ckpt.done(status, stage.cost if stage.feasible else None)
         return DescentResult(
             feasible=stage.feasible,
             cost=stage.cost,
             model=stage.model,
-            proven_optimal=stage.proven,
+            proven_optimal=stage.proven and stage.feasible,
             solve_calls=self.calls,
             strategy=self.strategy,
             status=status,

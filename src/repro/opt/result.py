@@ -12,6 +12,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_FEASIBLE = "feasible"
 #: The wall-clock deadline ended the descent; the result is best-so-far.
 STATUS_TIMEOUT = "timeout"
+#: The first probe answered UNKNOWN before any deadline (a conflict
+#: limit): feasibility is open, so the infeasible result proves nothing.
+STATUS_UNKNOWN = "unknown"
 #: The descent was restored from a checkpoint and ended without either
 #: improving the restored bound or proving anything new.
 STATUS_RESUMED = "resumed"
@@ -35,8 +38,8 @@ class DescentResult:
             ``parallel > 1`` (processes, calls, per-member win counts,
             cumulative wall time); None on the serial path.
         status: one of :data:`STATUS_OPTIMAL` / :data:`STATUS_FEASIBLE` /
-            :data:`STATUS_TIMEOUT` / :data:`STATUS_RESUMED` — how the
-            descent ended.
+            :data:`STATUS_TIMEOUT` / :data:`STATUS_UNKNOWN` /
+            :data:`STATUS_RESUMED` — how the descent ended.
         lower_bound: largest cost proven infeasible-below (0 when nothing
             was proven); with ``proven_optimal`` it equals ``cost``.
         upper_bound: cost of the best model found (= ``cost``), or None

@@ -1133,7 +1133,6 @@ class Kernel:
                 and conflicts_since_restart >= restart_limit
             ):
                 stats.restarts += 1
-                stats.restart_conflict_deltas.append(conflicts_since_restart)
                 if self._event_cb is not None:
                     self._event_cb(
                         "restart",

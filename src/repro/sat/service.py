@@ -4,13 +4,13 @@ Every task solves through one descent
 (:func:`repro.opt.minimize.minimize_sum`): generation and optimization
 probe one growing clause set many times under changing assumptions, and
 verification is the same descent with an empty objective, whose first
-probe and lazy refinement rounds are its whole solve.  The descent runs
-on a *probe session* with one contract: the clause list is held by
-reference, clauses appended since the last probe are loaded as the
-next probe's delta, and ``probe(assumptions, timeout_s)`` answers with
-a :class:`ProbeOutcome`; ``summary()``, ``solver_stats()`` and
-``close()`` complete it.  :func:`open_session` picks the session for a
-``parallel`` setting:
+probe and lazy refinement rounds are its whole solve.  The descent,
+diagnosis and the layout explorer run on a *probe session* with one
+contract: the clause list is held by reference, clauses appended since
+the last probe are loaded as the next probe's delta, and
+``probe(assumptions, timeout_s)`` answers with a :class:`ProbeOutcome`;
+``summary()``, ``solver_stats()`` and ``close()`` complete it.
+:func:`open_session` picks the session for a ``parallel`` setting:
 
 * :class:`SerialSession` (``parallel <= 1``) keeps one incremental
   :class:`~repro.sat.Solver` in process — the serial search, with its

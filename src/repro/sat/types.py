@@ -35,7 +35,7 @@ class InvalidLiteralError(SatError):
 _MAX_FIELDS = ("max_decision_level", "max_lbd")
 
 #: Fields with bespoke snapshot/delta handling (not plain additive scalars).
-_SPECIAL_FIELDS = ("restart_conflict_deltas", "profile", "kernel")
+_SPECIAL_FIELDS = ("profile", "kernel")
 
 
 @dataclass
@@ -69,8 +69,6 @@ class SolverStats:
     solve_time: float = 0.0
     #: Solve calls that ended early because ``wall_deadline_s`` expired.
     deadline_hits: int = 0
-    #: Conflicts between consecutive restarts (appended at each restart).
-    restart_conflict_deltas: list[int] = field(default_factory=list)
     #: Flat additive hot-path profiler counters (``propagate.time_s`` ...),
     #: published by the solver when ``SolverConfig.profile`` is on; exported
     #: by :meth:`as_dict` under ``profile.*`` keys.
@@ -105,7 +103,6 @@ class SolverStats:
         )
         for name in _MAX_FIELDS:
             setattr(clone, name, getattr(self, name))
-        clone.restart_conflict_deltas = list(self.restart_conflict_deltas)
         clone.profile = dict(self.profile)
         clone.kernel = self.kernel
         return clone
@@ -127,10 +124,6 @@ class SolverStats:
         )
         for name in _MAX_FIELDS:
             setattr(diff, name, getattr(self, name))
-        skip = len(before.restart_conflict_deltas)
-        diff.restart_conflict_deltas = list(
-            self.restart_conflict_deltas[skip:]
-        )
         diff.profile = {
             key: value - before.profile.get(key, 0)
             for key, value in self.profile.items()

@@ -39,8 +39,11 @@ class TaskResult:
 
     Anytime/resilience detail (see :mod:`repro.opt.result`):
         status: how the optimisation ended — "optimal", "feasible",
-            "timeout" (deadline hit; the solution is best-so-far), or
-            "resumed"; None for tasks without an optimisation loop.
+            "timeout" (deadline hit; the solution is best-so-far),
+            "unknown" (a probe answered UNKNOWN before any deadline, so
+            "infeasible" is unproven), or "resumed"; None for tasks
+            without an optimisation loop and for a proven verification
+            verdict.
         lower_bound / upper_bound: proven objective bounds (meaningful
             when ``status`` is set and the task optimised something).
         resumed: the optimisation restarted from a checkpoint.

@@ -23,6 +23,7 @@ from repro.network.sections import VSSLayout
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
 from repro.opt.minimize import minimize_sum
+from repro.opt.result import STATUS_OPTIMAL
 from repro.sat import (
     PortfolioMember,
     ProofLogger,
@@ -185,4 +186,5 @@ def verify_schedule(
         model=sorted(result.true_set()) if satisfiable else [],
         warm_started=result.warm_started,
         fingerprint=result.fingerprint,
+        status=None if result.status == STATUS_OPTIMAL else result.status,
     )

@@ -234,6 +234,29 @@ class TestNewFlags:
         out = capsys.readouterr().out
         assert "DRAT proof of infeasibility: VALID" in out
 
+    def test_verify_explain_writes_metrics_and_trace(
+        self, tmp_path, capsys
+    ):
+        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.jsonl"
+        code = main([
+            "verify", "--case", "complex-layout", "-j", "2", "--explain",
+            "--metrics", str(metrics_path), "--trace", str(trace_path),
+        ])
+        assert code == 1
+        assert "train(s) 5" in capsys.readouterr().out
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["diagnosis.solve_calls"] > 0
+        # -j sets verification's session; the diagnosis probes a serial
+        # one, so the trains it names never depend on a race.
+        assert "diagnosis.portfolio.processes" not in metrics
+        spans = [
+            json.loads(line)
+            for line in trace_path.read_text().splitlines() if line
+        ]
+        probes = [s for s in spans if s["name"] == "diagnosis.probe"]
+        assert len(probes) == metrics["diagnosis.solve_calls"]
+
     def test_optimize_total_arrival(self, capsys):
         code = main([
             "optimize", "--case", "running-example",

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.casestudies import case_study
 from repro.network.sections import VSSLayout
-from repro.tasks import diagnose_infeasibility, verify_schedule
+from repro.sat import PortfolioMember, SolverConfig
+from repro.tasks import diagnose_infeasibility, diagnosis, verify_schedule
 from repro.trains.schedule import Schedule, TrainRun
 from repro.trains.train import Train
 
@@ -95,3 +97,35 @@ class TestStructuralConflicts:
         result = diagnose_infeasibility(coarse, schedule, 1.0)
         assert not result.feasible
         assert result.structural
+
+
+class TestOnTheProbeSession:
+    """Every trial is a probe of one serial session."""
+
+    def test_complex_layout_names_train_5(self):
+        study = case_study("complex-layout")
+        result = diagnose_infeasibility(
+            study.discretize(), study.schedule, study.r_t_min
+        )
+        assert not result.feasible
+        assert result.conflicting_trains == ["5"]
+        assert result.relaxable and not result.structural
+        metrics = result.metrics
+        assert metrics["diagnosis.solve_calls"] == result.solve_calls
+        assert metrics["diagnosis.solver.solve_calls"] == result.solve_calls
+
+    def test_unknown_probe_raises(self, monkeypatch):
+        """With no budget, a probe that answers UNKNOWN must not pass for
+        a shrunk core."""
+        real = diagnosis.open_session
+
+        def capped(num_vars, clauses):
+            member = PortfolioMember("capped", SolverConfig(conflict_limit=1))
+            return real(num_vars, clauses, 1, [member])
+
+        monkeypatch.setattr(diagnosis, "open_session", capped)
+        study = case_study("complex-layout")
+        with pytest.raises(RuntimeError, match="UNKNOWN"):
+            diagnose_infeasibility(
+                study.discretize(), study.schedule, study.r_t_min
+            )

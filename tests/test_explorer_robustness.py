@@ -66,6 +66,19 @@ class TestLayoutExplorer:
         assert feasible  # some single border suffices
         assert explorer.queries == len(micro_net.free_border_candidates())
 
+    def test_single_border_layouts_match_verification(
+        self, micro_net, headway_schedule
+    ):
+        explorer = LayoutExplorer(micro_net, headway_schedule, 0.5)
+        for vertex in micro_net.free_border_candidates():
+            layout = VSSLayout(
+                micro_net, set(micro_net.forced_borders) | {vertex}
+            )
+            fresh = verify_schedule(
+                micro_net, headway_schedule, 0.5, layout=layout
+            )
+            assert explorer.check(layout) == fresh.satisfiable
+
     def test_makespan_of(self, micro_net, headway_schedule):
         explorer = LayoutExplorer(micro_net, headway_schedule, 0.5)
         assert explorer.makespan_of(VSSLayout.pure_ttd(micro_net)) is None

@@ -40,14 +40,11 @@ def _clean_tracer():
 class TestPerSolveStats:
     def test_snapshot_delta_arithmetic(self):
         before = SolverStats(conflicts=10, propagations=100, max_lbd=4)
-        before.restart_conflict_deltas = [3, 7]
         after = SolverStats(conflicts=25, propagations=180, max_lbd=6)
-        after.restart_conflict_deltas = [3, 7, 15]
         delta = after.delta(before)
         assert delta.conflicts == 15
         assert delta.propagations == 80
         assert delta.max_lbd == 6  # max fields keep the current value
-        assert delta.restart_conflict_deltas == [15]
 
     def test_last_stats_does_not_accumulate_across_solves(self):
         num_vars, clauses = UNSAT_CNF

@@ -160,6 +160,45 @@ class TestMinimizeSumDetails:
         assert result.portfolio is None
 
 
+class TestUnknownFirstProbe:
+    """A first probe that answers UNKNOWN before any deadline proves
+    nothing: the descent ends infeasible but never ``optimal``."""
+
+    @pytest.mark.parametrize("with_objective", [True, False])
+    def test_capped_first_probe(self, with_objective):
+        from repro.casestudies import case_study
+        from repro.sat import PortfolioMember, SolverConfig
+        from repro.tasks.common import build_encoding
+
+        study = case_study("running-example")
+        encoding = build_encoding(
+            study.discretize(), study.schedule, study.r_t_min, None
+        )
+        objective = encoding.border_objective() if with_objective else []
+        capped = PortfolioMember("capped", SolverConfig(conflict_limit=1))
+        result = minimize_sum(encoding.cnf, objective,
+                              portfolio_members=[capped])
+        assert not result.feasible and not result.proven_optimal
+        assert result.status == "unknown"
+        assert result.solve_calls == 1
+
+    def test_verification_reports_it(self, monkeypatch):
+        from repro.opt import minimize
+        from repro.sat import PortfolioMember, SolverConfig
+        from repro.tasks.batch import run_case_task
+
+        real = minimize.open_session
+        capped = PortfolioMember("capped", SolverConfig(conflict_limit=1))
+
+        def capped_session(num_vars, clauses, *args):
+            return real(num_vars, clauses, 1, [capped])
+
+        monkeypatch.setattr(minimize, "open_session", capped_session)
+        result = run_case_task("running-example", "verification")
+        assert not result.satisfiable
+        assert result.status == "unknown"
+
+
 def brute_force_lexicographic(num_vars, clauses, objectives):
     """The lexicographically least cost vector, or None if infeasible."""
     best = None
